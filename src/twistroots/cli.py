@@ -64,10 +64,19 @@ def _params(args) -> AlgebraParams:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SystemExit(f"error: cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
+
+
+def _require_nonnegative(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 0:
+            raise SystemExit(f"error: --{name} must be >= 0, got {getattr(args, name)}")
 
 
 def _json_text(doc) -> str:
@@ -109,6 +118,8 @@ def _load_functional(p: AlgebraParams, path: str) -> Functional:
         raise SystemExit(
             f"error: functional ambient does not match (k, l) = {p.ambient}"
         )
+    if zeta.delta != 0:
+        raise SystemExit("error: the functional must vanish on delta")
     return zeta
 
 
@@ -133,6 +144,7 @@ def _classify_fields(p: AlgebraParams, v: RootVector) -> tuple[str, str, str]:
 
 def _cmd_roots(args) -> int:
     p = _params(args)
+    _require_nonnegative(args, "mmax")
     window = enumerate_window(p, args.mmax)
     entries = []
     for v in window:
@@ -249,6 +261,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = _params(args)
+    _require_nonnegative(args, "mmax", "configs", "adversarial", "functionals", "roundtrip")
     reports = run_all(
         p,
         seed=args.seed,
@@ -277,7 +290,7 @@ def _cmd_shadow_validate(args) -> int:
     _emit(args, _json_text({
         "valid": verdict.ok,
         "checks": verdict.checks,
-        "failures": [{"check": f.check, "witness": f.witness} for f in verdict.failures],
+        "failures": [f.to_json() for f in verdict.failures],
     }))
     return 0 if verdict.ok else 1
 
@@ -289,17 +302,17 @@ def _cmd_shadow_derive_p(args) -> int:
     if not verdict.ok:
         _emit(args, _json_text({
             "valid": False,
-            "failures": [{"check": f.check, "witness": f.witness} for f in verdict.failures],
+            "failures": [f.to_json() for f in verdict.failures],
         }))
         return 1
-    closure = check_parabolic(cfg, args.mmax)
+    closure = check_parabolic(cfg)
     components = {}
     propers = []
     for i in (1, 2):
         if component_empty(p, i):
             components[str(i)] = None
             continue
-        dp = dot_parabolic_from_config(cfg, i, args.mmax)
+        dp = dot_parabolic_from_config(cfg, i)
         ip = is_parabolic(dp)
         propers.append(dp.proper)
         components[str(i)] = {
@@ -308,7 +321,7 @@ def _cmd_shadow_derive_p(args) -> int:
             "parabolic": ip.ok,
         }
     findings = []
-    if (is_tight(cfg) and check_mixed_components(cfg, args.mmax).ok
+    if (is_tight(cfg) and check_mixed_components(cfg).ok
             and propers and not any(propers)):
         findings.append(
             "every component trace is improper although the config is tight "
@@ -316,11 +329,11 @@ def _cmd_shadow_derive_p(args) -> int:
     doc = {
         "valid": True,
         "tight": is_tight(cfg),
-        "mixed_components": check_mixed_components(cfg, args.mmax).ok,
+        "mixed_components": check_mixed_components(cfg).ok,
         "closure": {
             "ok": closure.ok,
             "checks": closure.checks,
-            "failures": [{"check": f.check, "witness": f.witness} for f in closure.failures],
+            "failures": [f.to_json() for f in closure.failures],
         },
         "components": components,
         "findings": findings,
@@ -342,7 +355,7 @@ def _cmd_parabolic_synth(args) -> int:
             components[str(i)] = None
             functionals.append(None)
             continue
-        dp = dot_parabolic_from_config(cfg, i, args.mmax)
+        dp = dot_parabolic_from_config(cfg, i)
         try:
             zeta_i = synthesize_functional(dp)
         except InfeasibleSystemError as exc:
@@ -369,9 +382,8 @@ def _cmd_parabolic_synth(args) -> int:
 
 def _cmd_phi_pi(args) -> int:
     p = _params(args)
+    _require_nonnegative(args, "mmax")
     zeta = _load_functional(p, args.functional)
-    if zeta.delta != 0:
-        raise SystemExit("error: the functional must vanish on delta")
     gens = generator_set(p, zeta, args.mmax)
     doc = {
         "family": p.family.token, "k": p.k, "l": p.l,
@@ -391,6 +403,7 @@ def _cmd_phi_pi(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = _params(args)
+    _require_nonnegative(args, "mmax")
     zeta = _load_functional(p, args.functional)
     target = _parse_root(p, args.root)
     gens = generator_set(p, zeta, args.mmax)
@@ -482,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="derive the parabolic set of a config and check it")
     _add_params(sp)
     sp.add_argument("--config", required=True)
-    sp.add_argument("--mmax", type=int, default=8)
     _add_out(sp)
     sp.set_defaults(func=_cmd_shadow_derive_p)
 
@@ -490,7 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="synthesize defining functionals for a config's traces")
     _add_params(sp)
     sp.add_argument("--config", required=True)
-    sp.add_argument("--mmax", type=int, default=8)
     _add_out(sp)
     sp.set_defaults(func=_cmd_parabolic_synth)
 

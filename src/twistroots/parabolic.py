@@ -25,9 +25,8 @@ from .rootsys import (
     even_table,
     r_invariants,
     real_dot_roots,
-    root_table,
 )
-from .shadow import ShadowConfig, derive_parabolic, member_in, member_ln
+from .shadow import ShadowConfig, StateKind, derive_parabolic
 from .tables import REAL_SHAPES, shape_of
 
 
@@ -132,32 +131,14 @@ class DotParabolic:
 
 def dot_parabolic_from_config(cfg: ShadowConfig, i: int, mmax: int = 8) -> DotParabolic:
     """The delta-free trace of the config's parabolic set on even component i:
-    a dot belongs when some window shift of it lands in the set.  The window
-    round trip (dot trace + Z*delta, intersected with the component, equals the
-    set's trace on the component) is asserted before returning."""
+    the zero dot (the imaginary line lies in the set) and every dot whose class
+    lies in the set.  ``mmax`` does not change the trace."""
     p = cfg.params
     table = even_table(p, i)
     if not table:
         raise EmptyComponentError(f"component {i} of {p.describe()} is empty")
-    # Every dot must contribute at least one window member, else the trace
-    # would silently drop classes whose residues start beyond the window.
-    mmax = max(mmax, r_invariants(p).global_modulus)
     pset = derive_parabolic(cfg)
-    members = set()
-    for dot, prog in table.items():
-        if dot.is_zero:
-            members.add(dot)  # the imaginary line lies in the set
-            continue
-        if any(dot.with_dc(m) in pset for m in prog.window(mmax)):
-            members.add(dot)
-    for dot, prog in table.items():
-        for m in prog.window(mmax):
-            v = dot.with_dc(m)
-            in_trace = dot in members
-            in_set = v in pset
-            if in_trace != in_set:  # pragma: no cover - membership is class-constant
-                raise AssertionError(f"window round trip failed at {v}")
-    return DotParabolic(p, i, frozenset(members))
+    return DotParabolic(p, i, frozenset(d for d in table if d.is_zero or pset.contains_class(d)))
 
 
 def is_parabolic(dp: DotParabolic) -> Verdict:
@@ -260,17 +241,14 @@ def combine_functionals(zeta1: Functional, zeta2: Functional | None) -> Function
 def check_positivity_alignment(cfg: ShadowConfig, zeta: Functional, mmax: int = 8) -> Verdict:
     """For every nonzero real dot: the functional is positive on it exactly when
     its whole class is locally nilpotent and the negative class is injective,
-    evaluated member-by-member on the window."""
+    that is, when the class is fully-ln and its negative fully-in (a hybrid
+    class meets both parts).  ``mmax`` does not change the verdict."""
     if zeta.delta != 0:
         raise ValueError("the functional must vanish on delta")
     v = Verdict()
-    p = cfg.params
-    for dot in real_dot_roots(p):
-        members = [dot.with_dc(m) for m in root_table(p)[dot].window(mmax)]
-        neg_members = [(-dot).with_dc(m) for m in root_table(p)[-dot].window(mmax)]
-        rhs = all(member_ln(cfg, w) for w in members) and all(
-            member_in(cfg, w) for w in neg_members
-        )
+    states = cfg.states
+    for dot in real_dot_roots(cfg.params):
+        rhs = states[dot].kind is StateKind.FULL_LN and states[-dot].kind is StateKind.FULL_IN
         lhs = zeta.evaluate(dot) > 0
         v.record(
             lhs == rhs,

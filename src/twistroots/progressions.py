@@ -88,6 +88,17 @@ class ProgressionSet:
         m = lcm(self.modulus, other.modulus)
         return self._lift(m) <= other._lift(m)
 
+    def sum_witness(self, other: ProgressionSet, target: ProgressionSet) -> tuple[int, int] | None:
+        """The lexicographically smallest nonnegative (m, n) with m in self, n in
+        other and m + n in target, or None.  Membership is periodic with the lcm
+        of the moduli, so one period of each coordinate holds the smallest one."""
+        period = lcm(self.modulus, other.modulus, target.modulus)
+        for m in sorted(self._lift(period)):
+            for n in sorted(other._lift(period)):
+                if m + n in target:
+                    return m, n
+        return None
+
     # arithmetic ---------------------------------------------------------
 
     def union(self, other: ProgressionSet) -> ProgressionSet:

@@ -10,6 +10,9 @@ class Failure:
     check: str
     witness: str
 
+    def to_json(self) -> dict:
+        return {"check": self.check, "witness": self.witness}
+
 
 @dataclass
 class Verdict:

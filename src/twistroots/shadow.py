@@ -33,7 +33,6 @@ from .rootsys import (
     classify,
     doubling_pairs,
     even_table,
-    even_window,
     real_dot_roots,
     root_table,
 )
@@ -101,14 +100,14 @@ def canonical_rep(dot: RootVector) -> RootVector:
     return max(dot, -dot)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShadowConfig:
     """Total assignment of a ClassState to every nonzero real delta-free root.
 
     Hybrid profiles are stored anchored at the canonical representative of the
     pair and must be literally shared between the two signs; construct through
     ``from_assignments`` (or ``from_json``) to have anchoring normalized and
-    forced negatives inferred.  Treat instances as immutable once validated.
+    forced negatives inferred.  Instances are frozen.
     """
 
     params: AlgebraParams
@@ -163,7 +162,7 @@ class ShadowConfig:
 
     @classmethod
     def from_json(cls, params: AlgebraParams, doc: dict) -> ShadowConfig:
-        if not isinstance(doc, dict) or "classes" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("classes"), list):
             raise ConfigError("config document must have a 'classes' list")
         assignments: dict[RootVector, ClassState] = {}
         for idx, entry in enumerate(doc["classes"]):
@@ -181,7 +180,7 @@ class ShadowConfig:
                 h = enc["hybrid"]
                 try:
                     state = hybrid(Case(h["case"]), int(h["m"]), int(h["t"]))
-                except (KeyError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: bad hybrid profile: {exc}") from exc
             else:
                 raise ConfigError(f"{where}: unknown state encoding {enc!r}")
@@ -294,18 +293,22 @@ def is_tight(cfg: ShadowConfig) -> bool:
 
 
 def check_mixed_components(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
-    """Each nonempty even component must see both ln and in behaviour on a window:
-    its ln part is nonempty and proper inside its nonzero real part."""
+    """Each nonempty even component must see both ln and in behaviour: its ln
+    part is nonempty and proper inside its nonzero real part.  A hybrid class
+    holds both an ln and an in part.  ``mmax`` does not change the verdict."""
     v = Verdict()
-    p = cfg.params
     for i in (1, 2):
-        if not even_table(p, i):
+        table = even_table(cfg.params, i)
+        if not table:
             continue
-        roots = [w for w in even_window(p, i, mmax, include_imaginary=False)]
-        has_ln = any(member_ln(cfg, w) for w in roots)
-        has_in = any(member_in(cfg, w) for w in roots)
-        v.record(has_ln, f"ln part nonempty in component {i}", f"window mmax={mmax}")
-        v.record(has_in, f"ln part proper in component {i}", f"window mmax={mmax}")
+        dots = [d for d in table if not d.is_zero]
+        kinds = {cfg.states[d].kind for d in dots}
+        has_ln = bool(kinds & {StateKind.FULL_LN, StateKind.HYBRID})
+        has_in = bool(kinds & {StateKind.FULL_IN, StateKind.HYBRID})
+        v.record(has_ln, f"ln part nonempty in component {i}",
+                 f"{len(dots)} classes, all fully-in")
+        v.record(has_in, f"ln part proper in component {i}",
+                 f"{len(dots)} classes, all fully-ln")
     return v
 
 
@@ -342,21 +345,14 @@ def derive_parabolic(cfg: ShadowConfig) -> ParabolicSet:
     return ParabolicSet(cfg)
 
 
-def _window_sum_witness(s1, s2, s3, mmax: int):
-    for m in s1.window(mmax):
-        for n in s2.window(mmax):
-            if abs(m + n) <= mmax and (m + n) in s3:
-                return (m, n)
-    return None
-
-
 def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
-    """Cover and closure of the derived set inside the real+imaginary part, on the
-    window |dc| <= mmax.
+    """Cover and closure of the derived set inside the real+imaginary part.
 
     Both quantifiers run over delta-classes: membership is constant on classes,
-    so a pair of window roots violates closure exactly when their dot parts do
-    with some window-realizable delta coefficients (the reported witness).
+    so two member classes violate closure exactly when some coefficients m, n
+    of their roots sum to a coefficient of a real class outside the set.  The
+    witness names the smallest nonnegative such m and n.  ``mmax`` does not
+    change the verdict.
     """
     v = Verdict()
     p = cfg.params
@@ -384,7 +380,7 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
                 continue  # sums into the imaginary line stay in the set
             if shape_of(c) not in REAL_SHAPES:
                 continue  # nonsingular sums are outside the real+imaginary part
-            wit = _window_sum_witness(table[a], table[b], prog, mmax)
+            wit = table[a].sum_witness(table[b], prog)
             if wit is None:
                 continue
             m, n = wit

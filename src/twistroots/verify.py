@@ -82,7 +82,7 @@ class RunReport:
         return {
             "suite": self.suite,
             "checks": self.checks,
-            "failures": [{"check": f.check, "witness": f.witness} for f in self.failures],
+            "failures": [f.to_json() for f in self.failures],
         }
 
     def summary(self) -> str:
@@ -193,7 +193,7 @@ def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) 
 
 
 def suite_structure(p: AlgebraParams, mmax: int = 8) -> RunReport:
-    """The exhaustive structural identities on windows and finite dot sets."""
+    """The structural identities, exact on delta-classes and finite dot sets."""
     t0 = time.time()
     v = Verdict()
     v.extend(check_ns_sum(p, mmax))

@@ -193,3 +193,33 @@ def test_list_families_inprocess(capsys):
 
 def test_no_command_prints_help():
     assert main([]) == 2
+
+
+def _malformed_inputs(tmp_path):
+    """Inputs the CLI must refuse with one error line, by name."""
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1"]
+    delta = tmp_path / "delta-weighted.json"
+    delta.write_text(json.dumps({"eps": ["1"], "del": ["1"], "delta": "1"}))
+    classes = tmp_path / "classes-not-a-list.json"
+    classes.write_text(json.dumps({"classes": 5}))
+    return {
+        "negative-mmax": ["roots", *base, "--mmax", "-1"],
+        "negative-count": ["verify", *base, "--configs", "-3"],
+        "delta-weighted-functional": [
+            "decompose", *base, "--functional", str(delta),
+            "--root", '{"eps":[0],"del":[2],"dc":0}'],
+        "classes-not-a-list": ["shadow-validate", *base, "--config", str(classes)],
+        "unwritable-out": ["roots", *base, "--out", str(tmp_path / "missing" / "out.json")],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "negative-mmax", "negative-count", "delta-weighted-functional",
+    "classes-not-a-list", "unwritable-out",
+])
+def test_malformed_input_gives_one_error_line(tmp_path, case):
+    out = run_cli(*_malformed_inputs(tmp_path)[case])
+    assert out.returncode != 0
+    assert out.stdout == ""
+    lines = out.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr

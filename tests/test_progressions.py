@@ -115,3 +115,11 @@ def test_sumset_against_windows(a, b):
         if -20 <= x + y <= 20
     }
     assert got == expect
+
+
+@given(progsets, progsets, progsets)
+def test_sum_witness_against_scan(a, b, c):
+    # Every lcm of the sampled moduli divides 24, so one period of each
+    # coordinate lies in range(24) and holds the smallest witness.
+    scan = [(m, n) for m in range(24) for n in range(24) if m in a and n in b and m + n in c]
+    assert a.sum_witness(b, c) == (scan[0] if scan else None)

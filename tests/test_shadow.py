@@ -1,5 +1,6 @@
 """Shadow configurations: states, membership splits, validity, parabolic set."""
 
+from dataclasses import FrozenInstanceError
 from random import Random
 
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from twistroots.families import AffineFamily, AlgebraParams
 from twistroots.lattice import del_unit, delta_vec, eps_unit
 from twistroots import rootsys as rs
+from twistroots.parabolic import check_positivity_alignment, dot_parabolic_from_config
 from twistroots.sampling import (
     adversarial_config,
     adversarial_kinds,
     config_from_functional,
+    random_functional,
     random_tight_config,
 )
 from twistroots.shadow import (
@@ -256,6 +259,32 @@ def test_check_parabolic_agrees_with_window_pairs():
     assert brute_check_parabolic(bad, 4) is False
 
 
+def test_verdicts_do_not_depend_on_mmax():
+    # Every check quantifies over delta-classes, so the window bound a caller
+    # passes must not change any verdict, witness or trace.
+    rng = Random(19)
+    for fam in AffineFamily:
+        for k, l in ((1, 2), (2, 2)):
+            p = P(fam, k, l)
+            comps = [i for i in (1, 2) if not rs.component_empty(p, i)]
+            cases = [random_tight_config(p, rng) for _ in range(4)]
+            for kind in adversarial_kinds(p):
+                for _ in range(2):
+                    bad = adversarial_config(p, rng, kind)
+                    cases.append((bad, random_functional(p, rng)))
+                    if kind == "broken_closure":
+                        assert not check_parabolic(bad, 0).ok, (p, kind)
+            for cfg, zeta in cases:
+                outcomes = [
+                    (check_parabolic(cfg, mmax),
+                     check_mixed_components(cfg, mmax),
+                     check_positivity_alignment(cfg, zeta, mmax),
+                     [dot_parabolic_from_config(cfg, i, mmax) for i in comps])
+                    for mmax in (0, 1, 8)
+                ]
+                assert outcomes[0] == outcomes[1] == outcomes[2], p
+
+
 def test_adversarial_configs_rejected():
     rng = Random(17)
     for fam in AffineFamily:
@@ -294,6 +323,12 @@ def test_json_roundtrip_and_inference():
     incomplete.pop(d1)
     with pytest.raises(ConfigError):
         ShadowConfig.from_assignments(p, incomplete)
+
+
+def test_shadow_config_is_frozen():
+    cfg = all_state_config(P(AffineFamily.A_EVEN_2, 1, 1), FULL_LN)
+    with pytest.raises(FrozenInstanceError):
+        cfg.states = {}
 
 
 def test_reanchor_is_involutive_and_t_stable():

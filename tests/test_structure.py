@@ -35,6 +35,36 @@ def test_ns_sum_exhaustive_small():
         assert rs.check_ns_sum(p, 6).ok
 
 
+def window_ns_sum(p, mmax):
+    """Literal window scan of the nonsingular-sum lemma: whether every sum of two
+    nonsingular window roots that is a window root is real or imaginary, and the
+    dot pairs that have such a sum."""
+    ns = [v for v in rs.enumerate_window(p, mmax)
+          if not v.dot_part().is_zero
+          and rs.classify(p, v).root_class is rs.RootClass.NONSINGULAR]
+    ok, pairs = True, set()
+    for u in ns:
+        for w in ns:
+            s = u + w
+            if abs(s.dc) > mmax or not rs.is_root(p, s):
+                continue
+            pairs.add((u.dot_part(), w.dot_part()))
+            if not s.is_zero and rs.classify(p, s).root_class is rs.RootClass.NONSINGULAR:
+                ok = False
+    return ok, pairs
+
+
+def test_ns_sum_matches_window_oracle():
+    # Every modulus divides 4, so the smallest nonnegative witness of a class
+    # pair sums to at most 6, and a window of 6 realizes every class pair.
+    for p in valid_params(1, 2):
+        ok, pairs = window_ns_sum(p, 6)
+        for mmax in (0, 8):
+            v = rs.check_ns_sum(p, mmax)
+            assert v.ok == ok, p
+            assert v.checks == max(len(pairs), 1), p
+
+
 def test_sum_property_worked_example():
     p = P(AffineFamily.A_EVEN_2, 1, 2)
     d1, d2 = del_unit(1, 2, 1), del_unit(1, 2, 2)
