@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 
 from .families import AffineFamily, AlgebraParams, InvalidParamsError
 from .lattice import RootVector
@@ -62,15 +63,23 @@ def _params(args) -> AlgebraParams:
         raise SystemExit(f"error: {exc}")
 
 
+@contextmanager
+def _output(args):
+    """The stream for machine output: the --out file, opened on entry so that
+    an unwritable path ends the command before any work, or stdout."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {args.out}: {exc}")
+
+
 def _emit(args, text: str) -> None:
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write {args.out}: {exc}")
-    else:
-        sys.stdout.write(text)
+    with _output(args) as out:
+        out.write(text)
 
 
 def _require_nonnegative(args, *names: str) -> None:
@@ -262,24 +271,25 @@ def _cmd_tables(args) -> int:
 def _cmd_verify(args) -> int:
     p = _params(args)
     _require_nonnegative(args, "mmax", "configs", "adversarial", "functionals", "roundtrip")
-    reports = run_all(
-        p,
-        seed=args.seed,
-        mmax=args.mmax,
-        n_configs=args.configs,
-        n_adversarial=args.adversarial,
-        n_functionals=args.functionals,
-        n_roundtrip=args.roundtrip,
-    )
-    for r in reports:
-        print(r.summary(), file=sys.stderr)
-    doc = {
-        "family": p.family.token, "k": p.k, "l": p.l,
-        "seed": args.seed, "mmax": args.mmax,
-        "reports": [r.to_json() for r in reports],
-        "ok": all(r.ok for r in reports),
-    }
-    _emit(args, _json_text(doc))
+    with _output(args) as out:
+        reports = run_all(
+            p,
+            seed=args.seed,
+            mmax=args.mmax,
+            n_configs=args.configs,
+            n_adversarial=args.adversarial,
+            n_functionals=args.functionals,
+            n_roundtrip=args.roundtrip,
+        )
+        for r in reports:
+            print(r.summary(), file=sys.stderr)
+        doc = {
+            "family": p.family.token, "k": p.k, "l": p.l,
+            "seed": args.seed, "mmax": args.mmax,
+            "reports": [r.to_json() for r in reports],
+            "ok": all(r.ok for r in reports),
+        }
+        out.write(_json_text(doc))
     return 0 if all(r.ok for r in reports) else 1
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .families import AlgebraParams
 from .fm import feasible_point
@@ -32,10 +31,6 @@ from .tables import REAL_SHAPES, shape_of
 
 class InfeasibleSystemError(RuntimeError):
     """No functional realizes the requested half-space; surfaced, never swallowed."""
-
-
-class NoDecompositionError(RuntimeError):
-    """No nonnegative integral decomposition exists; signals a bug upstream."""
 
 
 def _frac_str(x: Fraction) -> str:
@@ -150,7 +145,7 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
         v.record(
             dot in dp.members or -dot in dp.members,
             f"cover on component {dp.component}",
-            f"{dot}",
+            lambda: f"{dot}",
         )
     members = dp.sorted_members()
     for idx, a in enumerate(members):
@@ -160,7 +155,7 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
                 v.record(
                     c in dp.members,
                     f"closure on component {dp.component}",
-                    f"{a} + {b} = {c}",
+                    lambda: f"{a} + {b} = {c}",
                 )
     return v
 
@@ -253,7 +248,7 @@ def check_positivity_alignment(cfg: ShadowConfig, zeta: Functional, mmax: int = 
         v.record(
             lhs == rhs,
             "positive value iff fully-ln class with fully-in negative",
-            f"{dot}: value {zeta.evaluate(dot)}, class ln/in split says {rhs}",
+            lambda: f"{dot}: value {zeta.evaluate(dot)}, class ln/in split says {rhs}",
         )
     return v
 
@@ -281,6 +276,14 @@ class GeneratorSet:
     generators: tuple[RootVector, ...]
 
 
+def _split_witness(
+    v: RootVector, positive: tuple[RootVector, ...], pos_set: set[RootVector]
+) -> RootVector | None:
+    """The first a of the positive slice with v - a also in it, or None when v
+    is indecomposable."""
+    return next((a for a in positive if (v - a) in pos_set), None)
+
+
 def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> GeneratorSet:
     """Shift every nonzero dot by its residues modulo the global modulus, take
     the functional-positive real slice, and extract its indecomposables.
@@ -300,9 +303,7 @@ def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> Generato
     shifted_real = [v for v in shifted_full if shape_of(v.dot_part()) in REAL_SHAPES]
     positive = tuple(v for v in shifted_real if zeta.evaluate(v) > 0)
     pos_set = set(positive)
-    generators = tuple(
-        v for v in positive if not any((v - a) in pos_set for a in positive)
-    )
+    generators = tuple(v for v in positive if _split_witness(v, positive, pos_set) is None)
 
     covered = set()
     for v in shifted_full:
@@ -326,58 +327,30 @@ def decompose_over_generators(
     """Nonnegative integer coefficients over the generators reproducing the
     target exactly (delta coordinate included).
 
-    Depth-first search over nondecreasing generator indices, pruned by the
-    functional value: each pick strictly lowers the remaining value, which
-    bounds the depth by value(target) / min value(generators).
+    Repeated splitting along the indecomposability witness of
+    ``generator_set``: an element v of the positive slice is split into a and
+    v - a, for the first a of the slice (in slice order) that leaves v - a in
+    the slice, and counted as a generator when no such a exists.  Both parts
+    have a strictly smaller functional value, so on the finite slice the
+    splitting stops, and the result is deterministic.
     """
-    if target not in set(gens.positive):
+    positive = gens.positive
+    pos_set = set(positive)
+    if target not in pos_set:
         raise ValueError(f"{target} is not in the positive slice")
-    zeta = gens.zeta
-    order = sorted(gens.generators, key=lambda g: (zeta.evaluate(g), g.key()))
-
-    # Clear denominators once so the search runs on plain integers, and flatten
-    # vectors to coordinate tuples for cheap hashing.
-    lcd = 1
-    for g in order + [target]:
-        lcd = lcd * zeta.evaluate(g).denominator // gcd(lcd, zeta.evaluate(g).denominator)
-    values = [int(zeta.evaluate(g) * lcd) for g in order]
-    flats = [g.eps + g.dels + (g.dc,) for g in order]
-    target_flat = target.eps + target.dels + (target.dc,)
-    target_val = int(zeta.evaluate(target) * lcd)
-    zero_flat = (0,) * len(target_flat)
-    dead: set[tuple[tuple[int, ...], int]] = set()
-
-    def search(residual: tuple[int, ...], resval: int, idx: int) -> list[int] | None:
-        if residual == zero_flat:
-            return [] if resval == 0 else None
-        if residual[-1] < 0:  # generator dc's are residues >= 0, so dc only drops
-            return None
-        if idx >= len(order) or resval < values[idx]:
-            return None
-        key = (residual, idx)
-        if key in dead:
-            return None
-        for i in range(idx, len(order)):
-            if values[i] > resval:
-                break  # generators are value-sorted
-            nxt = tuple(a - b for a, b in zip(residual, flats[i]))
-            tail = search(nxt, resval - values[i], i)
-            if tail is not None:
-                return [i] + tail
-        dead.add(key)
-        return None
-
-    picks = search(target_flat, target_val, 0)
-    if picks is None:
-        raise NoDecompositionError(
-            f"{target} admits no nonnegative decomposition over {gens.generators}"
-        )
+    generators = set(gens.generators)
     out: dict[RootVector, int] = {}
-    for i in picks:
-        out[order[i]] = out.get(order[i], 0) + 1
+    stack = [target]
+    while stack:
+        v = stack.pop()
+        a = None if v in generators else _split_witness(v, positive, pos_set)
+        if a is None:
+            out[v] = out.get(v, 0) + 1
+        else:
+            stack += (a, v - a)
     total = None
     for g, c in out.items():
         total = g.scale(c) if total is None else total + g.scale(c)
-    if total is None or total != target:  # pragma: no cover
+    if total != target:  # pragma: no cover
         raise AssertionError("decomposition does not reproduce the target")
     return out

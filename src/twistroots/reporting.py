@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 
@@ -28,10 +29,14 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.ok
 
-    def record(self, passed: bool, check: str, witness: str = "") -> None:
+    def record(
+        self, passed: bool, check: str, witness: str | Callable[[], str] = ""
+    ) -> None:
+        """Count one case.  A callable witness is called only when the case
+        fails, so passing cases never pay for formatting it."""
         self.checks += 1
         if not passed:
-            self.failures.append(Failure(check, witness))
+            self.failures.append(Failure(check, witness() if callable(witness) else witness))
 
     def extend(self, other: Verdict) -> None:
         self.checks += other.checks

@@ -344,11 +344,9 @@ def check_ns_sum(p: AlgebraParams, mmax: int) -> Verdict:
             if wit is None:
                 continue
             m, n = wit
-            ok = c.is_zero or shape_of(c) is not Shape.MIXED
-            # Only failures keep a witness; formatting one for every pass
-            # would cost a third of the check.
-            v.record(ok, "ns+ns stays real/imaginary",
-                     "" if ok else f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
+            v.record(c.is_zero or shape_of(c) is not Shape.MIXED,
+                     "ns+ns stays real/imaginary",
+                     lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
     if v.checks == 0:
         v.record(True, "ns+ns stays real/imaginary (vacuous)")
     return v
@@ -376,7 +374,7 @@ def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
             if not (la == lb <= lc):
                 continue
             ok = table[c].issubset(table[a].add(table[b]))
-            v.record(ok, f"sum-set inclusion in component {i}", f"{a} + {b} = {c}")
+            v.record(ok, f"sum-set inclusion in component {i}", lambda: f"{a} + {b} = {c}")
     if v.checks == 0:
         v.record(True, f"sum-set inclusion in component {i} (vacuous)")
     return v
@@ -400,7 +398,7 @@ def check_length_trichotomy(p: AlgebraParams, i: int) -> Verdict:
             v.record(
                 pat_a + pat_b + pat_c == 1,
                 f"length trichotomy in component {i}",
-                f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})",
+                lambda: f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})",
             )
     if v.checks == 0:
         v.record(True, f"length trichotomy in component {i} (vacuous)")

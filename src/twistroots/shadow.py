@@ -22,8 +22,10 @@ the class, so member_ln and member_in are complementary on real roots.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 from .families import AlgebraParams
 from .lattice import RootVector
@@ -107,11 +109,19 @@ class ShadowConfig:
     Hybrid profiles are stored anchored at the canonical representative of the
     pair and must be literally shared between the two signs; construct through
     ``from_assignments`` (or ``from_json``) to have anchoring normalized and
-    forced negatives inferred.  Instances are frozen.
+    forced negatives inferred.  Instances are immutable and hashable:
+    ``states`` is a read-only view of a private copy of the mapping passed in,
+    in the same order.
     """
 
     params: AlgebraParams
-    states: dict[RootVector, ClassState]
+    states: Mapping[RootVector, ClassState]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "states", MappingProxyType(dict(self.states)))
+
+    def __hash__(self) -> int:
+        return hash((self.params, frozenset(self.states.items())))
 
     @classmethod
     def from_assignments(
@@ -219,18 +229,18 @@ def validate(cfg: ShadowConfig) -> Verdict:
         v.record(
             a.is_hybrid == b.is_hybrid and (not a.is_hybrid or a.profile == b.profile),
             "hybrid states are +-symmetric with a shared profile",
-            f"{rep}: {a.kind.value} vs {-rep}: {b.kind.value}",
+            lambda: f"{rep}: {a.kind.value} vs {-rep}: {b.kind.value}",
         )
     for dot, doubled in doubling_pairs(cfg.params):
         st, st2 = cfg.states[dot], cfg.states[doubled]
         if st.kind is StateKind.FULL_LN:
             v.record(st2.kind is StateKind.FULL_LN,
                      "fully-ln odd class doubles to a fully-ln class",
-                     f"{dot} full_ln but {doubled} {st2.kind.value}")
+                     lambda: f"{dot} full_ln but {doubled} {st2.kind.value}")
         elif st.kind is StateKind.FULL_IN:
             v.record(st2.kind is StateKind.FULL_IN,
                      "fully-in odd class doubles to a fully-in class",
-                     f"{dot} full_in but {doubled} {st2.kind.value}")
+                     lambda: f"{dot} full_in but {doubled} {st2.kind.value}")
         else:
             v.record(True, "hybrid odd class imposes no doubling constraint")
     return v
@@ -364,7 +374,7 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
         v.record(
             pset.contains_class(dot) or pset.contains_class(-dot),
             "cover: every real class meets the set or its negative",
-            f"class {dot}",
+            lambda: f"class {dot}",
         )
 
     member_dots = [d for d in real_dots if pset.contains_class(d)]
@@ -387,6 +397,6 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
             v.record(
                 pset.contains_class(c),
                 "closure: sums of set members stay in the set",
-                f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}",
+                lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}",
             )
     return v

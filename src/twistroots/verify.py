@@ -308,7 +308,7 @@ def suite_generators(
                 total = total + g.scale(c)
             v.record(total == target and all(c >= 0 for c in coeffs.values()),
                      "positive element decomposes over the generators",
-                     f"functional {idx}, {target}")
+                     lambda: f"functional {idx}, {target}")
     return _finish("generators", v, t0)
 
 

@@ -1,18 +1,26 @@
 """Command-line surface: formats, determinism, exit codes, usage errors."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import twistroots
 from twistroots.cli import main
 
 RUN = [sys.executable, "-m", "twistroots.cli"]
+# The child process imports the same package as the tests, also when pytest
+# put it on sys.path itself rather than through PYTHONPATH.
+PACKAGE_ROOT = str(Path(twistroots.__file__).resolve().parents[1])
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*argv):
-    return subprocess.run(RUN + list(argv), capture_output=True, text=True)
+    return subprocess.run(RUN + list(argv), capture_output=True, text=True, env=ENV)
 
 
 def test_roots_json_count():
@@ -210,12 +218,16 @@ def _malformed_inputs(tmp_path):
             "--root", '{"eps":[0],"del":[2],"dc":0}'],
         "classes-not-a-list": ["shadow-validate", *base, "--config", str(classes)],
         "unwritable-out": ["roots", *base, "--out", str(tmp_path / "missing" / "out.json")],
+        # The error must come before any suite runs and prints its summary.
+        "verify-unwritable-out": [
+            "verify", *base, "--configs", "2", "--adversarial", "2", "--functionals", "1",
+            "--roundtrip", "2", "--out", str(tmp_path / "missing" / "out.json")],
     }
 
 
 @pytest.mark.parametrize("case", [
     "negative-mmax", "negative-count", "delta-weighted-functional",
-    "classes-not-a-list", "unwritable-out",
+    "classes-not-a-list", "unwritable-out", "verify-unwritable-out",
 ])
 def test_malformed_input_gives_one_error_line(tmp_path, case):
     out = run_cli(*_malformed_inputs(tmp_path)[case])

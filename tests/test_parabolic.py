@@ -24,7 +24,7 @@ from twistroots.parabolic import (
     synthesize_functional,
     triangular,
 )
-from twistroots.sampling import config_from_functional, random_functional
+from twistroots.sampling import DEFAULT_SEED, config_from_functional, random_functional
 from twistroots.shadow import validate
 
 
@@ -264,14 +264,46 @@ def test_decompose_everything_random():
         for _ in range(8):
             zeta = random_functional(p, rng)
             gens = generator_set(p, zeta)
-            assert set(gens.generators) == brute_indecomposables(gens.positive)
+            indecomposables = brute_indecomposables(gens.positive)
+            assert set(gens.generators) == indecomposables
             for target in gens.positive:
                 coeffs = decompose_over_generators(target, gens)
+                assert set(coeffs) <= indecomposables
                 total = zero_vec(p.k, p.l)
                 for g, c in coeffs.items():
                     assert c > 0
                     total = total + g.scale(c)
                 assert total == target
+
+
+def test_decompose_former_heavy_tail():
+    # Functional 20 of the d-2 (3, 3) generator suite at the default seed,
+    # where a search over generator multisets took 10 s on this target.
+    p = P(AffineFamily.D_2, 3, 3)
+    rng = Random(DEFAULT_SEED)
+    zetas = [random_functional(p, rng) for _ in range(21)]
+    gens = generator_set(p, zetas[20])
+    target = del_unit(3, 3, 3, 2)
+    coeffs = decompose_over_generators(target, gens)
+    assert set(coeffs) <= set(gens.generators) and all(c > 0 for c in coeffs.values())
+    total = zero_vec(3, 3)
+    for g, c in coeffs.items():
+        total = total + g.scale(c)
+    assert total == target
+    assert decompose_over_generators(target, gens) == coeffs
+
+
+def test_decompose_splits_at_the_first_witness_in_slice_order():
+    # <-d2+delta> has two decompositions here; splitting off the first element
+    # of the slice that leaves the rest in the slice picks <+d1+delta>.
+    p = P(AffineFamily.A_EVEN_2, 1, 2)
+    zeta = random_functional(p, Random(7))
+    gens = generator_set(p, zeta)
+    d1, d2, dl = del_unit(1, 2, 1), del_unit(1, 2, 2), delta_vec(1, 2)
+    target = dl - d2
+    # The other decomposition: <+d1> + <-d1-d2+delta>.
+    assert {d1, dl - d1 - d2} <= set(gens.generators)
+    assert decompose_over_generators(target, gens) == {d1 + dl: 1, -d1 - d2: 1}
 
 
 def test_shifted_variants_differ_exactly_on_mixed_shapes():

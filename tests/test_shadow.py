@@ -329,6 +329,19 @@ def test_shadow_config_is_frozen():
     cfg = all_state_config(P(AffineFamily.A_EVEN_2, 1, 1), FULL_LN)
     with pytest.raises(FrozenInstanceError):
         cfg.states = {}
+    with pytest.raises(TypeError):
+        cfg.states[next(iter(cfg.states))] = FULL_IN
+
+
+def test_equal_shadow_configs_hash_equal():
+    p = P(AffineFamily.A_EVEN_2, 1, 1)
+    states = {d: FULL_LN for d in rs.real_dot_roots(p)}
+    a = ShadowConfig(p, states)
+    b = ShadowConfig(p, dict(reversed(states.items())))
+    states[next(iter(states))] = FULL_IN  # the config keeps its own copy
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert set(a.states.values()) == {FULL_LN}
+    assert a != all_state_config(p, FULL_IN)
 
 
 def test_reanchor_is_involutive_and_t_stable():

@@ -1,7 +1,22 @@
 """Verification suites: determinism and end-to-end passes on small batches."""
 
 from twistroots.families import AffineFamily, AlgebraParams
+from twistroots.reporting import Failure, Verdict
 from twistroots.verify import run_all, suite_shadow_pipeline
+
+
+def test_callable_witness_is_called_only_on_failure():
+    calls = []
+
+    def witness():
+        calls.append(None)
+        return "w"
+
+    v = Verdict()
+    v.record(True, "check", witness)
+    assert v.ok and v.checks == 1 and calls == []
+    v.record(False, "check", witness)
+    assert v.failures == [Failure("check", "w")] and len(calls) == 1
 
 
 def test_all_suites_pass_on_degenerate_slices():
