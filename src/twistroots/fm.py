@@ -1,5 +1,9 @@
 """Exact rational linear-inequality feasibility by Fourier-Motzkin elimination.
 
+The test oracle for functional synthesis: ``parabolic.synthesize_functional``
+takes the nilradical sum in closed form, and the tests check it against the
+weak system solved here.  No library module imports this one.
+
 A system is a list of weak rows (a, c) meaning a.x >= c with Fraction entries.
 Dimensions here never exceed a handful of variables, so the exponential blowup
 of elimination is irrelevant and exactness is what matters.  Strict constraints

@@ -55,7 +55,12 @@ class RootVector:
         )
 
     def __sub__(self, other: RootVector) -> RootVector:
-        return self + (-other)
+        self._check_ambient(other)
+        return RootVector(
+            tuple(a - b for a, b in zip(self.eps, other.eps)),
+            tuple(a - b for a, b in zip(self.dels, other.dels)),
+            self.dc - other.dc,
+        )
 
     def __neg__(self) -> RootVector:
         return self.scale(-1)

@@ -2,7 +2,7 @@
 
 Covers sign decompositions by linear functionals, extraction and testing of
 parabolic subsets of the finite even-component root systems, synthesis of a
-defining functional by exact Fourier-Motzkin elimination, the positivity
+defining functional as the sum of the subset's nilradical, the positivity
 alignment between a functional and a shadow configuration, and the generator
 combinatorics of the positive slice (the residue-shifted dot roots, their
 indecomposables, and nonnegative integral decompositions over them).
@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from .families import AlgebraParams
-from .fm import feasible_point
 from .lattice import RootVector
 from .reporting import Verdict
 from .rootsys import (
@@ -42,21 +44,36 @@ class Functional:
     """Rational-coefficient linear form on span(eps_i, del_j, delta).
 
     The delta coefficient is stored explicitly and is 0 for every functional
-    produced by synthesis or combination.
+    produced by synthesis or combination.  Evaluation runs in integers: the
+    coefficients are cleared once, at construction, to integer numerators
+    over one common denominator.
     """
 
     eps: tuple[Fraction, ...]
     dels: tuple[Fraction, ...]
     delta: Fraction = Fraction(0)
 
+    def __post_init__(self) -> None:
+        # Plain attributes, not fields, so that equality, hashing and repr see
+        # only the rational coefficients.
+        coeffs = self.eps + self.dels + (self.delta,)
+        den = lcm(*(c.denominator for c in coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        k, l = len(self.eps), len(self.dels)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_eps_num", nums[:k])
+        object.__setattr__(self, "_dels_num", nums[k : k + l])
+        object.__setattr__(self, "_delta_num", nums[-1])
+
     def evaluate(self, v: RootVector) -> Fraction:
-        if (len(self.eps), len(self.dels)) != v.ambient:
+        if len(self.eps) != len(v.eps) or len(self.dels) != len(v.dels):
             raise ValueError("functional and vector ambients differ")
-        return (
-            sum((c * x for c, x in zip(self.eps, v.eps)), Fraction(0))
-            + sum((c * x for c, x in zip(self.dels, v.dels)), Fraction(0))
-            + self.delta * v.dc
+        n = (
+            sum(map(mul, self._eps_num, v.eps))
+            + sum(map(mul, self._dels_num, v.dels))
+            + self._delta_num * v.dc
         )
+        return Fraction(n, self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -165,44 +182,33 @@ def _component_coords(dp: DotParabolic, dot: RootVector) -> tuple[int, ...]:
 
 
 def synthesize_functional(dp: DotParabolic) -> Functional:
-    """An exact rational functional whose weak-nonnegativity locus on the
-    component equals the subset.
+    """An integral functional whose weak-nonnegativity locus on the component
+    equals the subset.
 
-    Solved as a weak system after clearing strictness by homogeneity: symmetric
-    members pin value 0, one-sided members demand >= 1, non-members demand
-    <= -1.  Infeasibility means the subset is not a half-space trace and is
-    surfaced as InfeasibleSystemError.
+    The candidate is the sum s, on the component's coordinates, of the
+    subset's nilradical: the members d of P with -d not in P.  For a parabolic
+    P, s vanishes on the Levi part (the members whose negative is a member)
+    and is positive on the nilradical (Bourbaki, Lie Groups and Lie Algebras,
+    ch. VI 1.7), so P = {d : <d, s> >= 0}.  A subset that is not a half-space
+    trace fails that recovery check, which is surfaced as InfeasibleSystemError.
     """
     p = dp.params
     ambient = dot_roots_0(p, dp.component)
-    nvars = p.k if dp.component == 2 else p.l
-    rows = []
-    for dot in sorted(ambient):
-        if dot.is_zero:
-            continue
-        coeffs = tuple(Fraction(c) for c in _component_coords(dp, dot))
-        neg = tuple(-c for c in coeffs)
-        if dot in dp.members and -dot in dp.members:
-            rows.append((coeffs, Fraction(0)))
-            rows.append((neg, Fraction(0)))
-        elif dot in dp.members:
-            rows.append((coeffs, Fraction(1)))
-        else:
-            rows.append((neg, Fraction(1)))
-    point = feasible_point(rows, nvars)
-    if point is None:
+    s = [0] * (p.k if dp.component == 2 else p.l)
+    for dot in dp.members:
+        if -dot not in dp.members:
+            s = [a + b for a, b in zip(s, _component_coords(dp, dot))]
+    coeffs = tuple(Fraction(c) for c in s)
+    zeta = (
+        Functional(coeffs, (Fraction(0),) * p.l)
+        if dp.component == 2
+        else Functional((Fraction(0),) * p.k, coeffs)
+    )
+    if {d for d in ambient if zeta.evaluate(d) >= 0} != dp.members:
         raise InfeasibleSystemError(
             f"no functional realizes the subset on component {dp.component} "
             f"of {p.describe()}: {dp.sorted_members()}"
         )
-    zeta = (
-        Functional(point, (Fraction(0),) * p.l)
-        if dp.component == 2
-        else Functional((Fraction(0),) * p.k, point)
-    )
-    recovered = {d for d in ambient if zeta.evaluate(d) >= 0}
-    if recovered != dp.members:  # pragma: no cover - excluded by construction
-        raise AssertionError("synthesized functional does not recover the subset")
     return zeta
 
 
@@ -284,29 +290,26 @@ def _split_witness(
     return next((a for a in positive if (v - a) in pos_set), None)
 
 
-def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> GeneratorSet:
-    """Shift every nonzero dot by its residues modulo the global modulus, take
-    the functional-positive real slice, and extract its indecomposables.
-
-    The window identity (every nonzero non-imaginary root with |dc| <= mmax is
-    reached from the full shifted set by steps of the global modulus, and
-    nothing else is) is verified before returning.
-    """
-    if zeta.delta != 0:
-        raise ValueError("the functional must vanish on delta")
+def _shifted_full(p: AlgebraParams) -> list[RootVector]:
+    """Every nonzero dot shifted by each of its residues modulo the global
+    modulus, in dot order."""
     inv = r_invariants(p)
-    r = inv.global_modulus
-    shifted_full = []
-    for dot in sorted(inv.per_dot):
-        for res in inv.per_dot[dot].residues_mod_global:
-            shifted_full.append(dot.with_dc(res))
-    shifted_real = [v for v in shifted_full if shape_of(v.dot_part()) in REAL_SHAPES]
-    positive = tuple(v for v in shifted_real if zeta.evaluate(v) > 0)
-    pos_set = set(positive)
-    generators = tuple(v for v in positive if _split_witness(v, positive, pos_set) is None)
+    return [
+        dot.with_dc(res)
+        for dot in sorted(inv.per_dot)
+        for res in inv.per_dot[dot].residues_mod_global
+    ]
 
+
+@lru_cache(maxsize=None)
+def _check_window_identity(p: AlgebraParams, mmax: int) -> None:
+    """Every nonzero non-imaginary root with |dc| <= mmax is reached from the
+    full shifted set by steps of the global modulus, and nothing else is.
+    It depends only on (p, mmax), so it runs once per pair; a mismatch is not
+    cached and raises on every call."""
+    r = r_invariants(p).global_modulus
     covered = set()
-    for v in shifted_full:
+    for v in _shifted_full(p):
         for dc in range(-mmax, mmax + 1):
             if (dc - v.dc) % r == 0:
                 covered.add(v.with_dc(dc))
@@ -316,6 +319,23 @@ def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> Generato
     if covered != window_nonim:  # pragma: no cover - identity is structural
         raise AssertionError("window identity for the shifted dot set failed")
 
+
+def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> GeneratorSet:
+    """Shift every nonzero dot by its residues modulo the global modulus, take
+    the functional-positive real slice, and extract its indecomposables.
+
+    The window identity of the shifted set at ``mmax`` is verified before
+    returning (see ``_check_window_identity``).
+    """
+    if zeta.delta != 0:
+        raise ValueError("the functional must vanish on delta")
+    shifted_full = _shifted_full(p)
+    shifted_real = [v for v in shifted_full if shape_of(v.dot_part()) in REAL_SHAPES]
+    positive = tuple(v for v in shifted_real if zeta.evaluate(v) > 0)
+    pos_set = set(positive)
+    generators = tuple(v for v in positive if _split_witness(v, positive, pos_set) is None)
+    _check_window_identity(p, mmax)
+    r = r_invariants(p).global_modulus
     return GeneratorSet(
         p, zeta, r, tuple(shifted_real), tuple(shifted_full), positive, generators
     )

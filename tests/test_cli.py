@@ -102,6 +102,17 @@ def test_verify_exit_zero_on_pass(tmp_path):
         "generators", "roundtrip"}
 
 
+def test_package_runs_as_a_module():
+    argv = ["verify", "--family", "a-even-2", "--k", "1", "--l", "1",
+            "--configs", "2", "--adversarial", "2", "--functionals", "1",
+            "--roundtrip", "2"]
+    out = subprocess.run([sys.executable, "-m", "twistroots"] + argv,
+                         capture_output=True, text=True, env=ENV)
+    assert out.returncode == 0
+    assert out.stdout == run_cli(*argv).stdout
+    assert json.loads(out.stdout)["ok"] is True
+
+
 def test_usage_error_names_constraint():
     out = run_cli("roots", "--family", "a-odd-2", "--k", "1", "--l", "1",
                   "--mmax", "1")

@@ -31,6 +31,8 @@ def test_addition_examples():
     v = e1 + dl
     assert v + zero_vec(1, 1) == v
     assert (e1 + dl) + (e1 + dl) == RootVector((2,), (0,), 2)
+    assert (e1 + dl) - (d1 + dl.scale(3)) == RootVector((1,), (-1,), -2)
+    assert v - v == zero_vec(1, 1)
 
 
 def test_form_examples():
@@ -55,6 +57,8 @@ def test_dot_part_examples():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         eps_unit(1, 1, 1) + eps_unit(2, 1, 1)
+    with pytest.raises(AmbientMismatchError):
+        eps_unit(1, 1, 1) - eps_unit(2, 1, 1)
     with pytest.raises(AmbientMismatchError):
         form(del_unit(1, 2, 1), del_unit(1, 3, 1))
 

@@ -1,13 +1,15 @@
 """Functionals, triangular decompositions, synthesis, and the generator set."""
 
 from fractions import Fraction as F
+from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from twistroots.families import AffineFamily, AlgebraParams
+from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.fm import feasible_point
-from twistroots.lattice import del_unit, delta_vec, eps_unit, zero_vec
+from twistroots.lattice import RootVector, del_unit, delta_vec, eps_unit, zero_vec
 from twistroots import rootsys as rs
 from twistroots.parabolic import (
     DotParabolic,
@@ -74,6 +76,42 @@ def test_functional_evaluate_and_json():
     again = Functional.from_json(z.to_json())
     assert again == z
     assert z.to_json()["delta"] == "0/1"
+    with pytest.raises(ValueError):
+        z.evaluate(eps_unit(2, 2, 1))
+
+
+fractions = st.fractions(min_value=-99, max_value=99, max_denominator=12)
+
+
+@given(st.data(), st.integers(0, 3), st.integers(1, 3))
+def test_evaluate_matches_fraction_sum(data, k, l):
+    z = Functional(
+        tuple(data.draw(fractions) for _ in range(k)),
+        tuple(data.draw(fractions) for _ in range(l)),
+        data.draw(fractions),
+    )
+    ints = st.integers(-50, 50)
+    v = RootVector(
+        tuple(data.draw(ints) for _ in range(k)),
+        tuple(data.draw(ints) for _ in range(l)),
+        data.draw(ints),
+    )
+    expected = (
+        sum((c * x for c, x in zip(z.eps, v.eps)), F(0))
+        + sum((c * x for c, x in zip(z.dels, v.dels)), F(0))
+        + z.delta * v.dc
+    )
+    value = z.evaluate(v)
+    assert type(value) is F and value == expected
+
+
+def test_equal_functionals_compare_and_hash_equal():
+    a = Functional((F(1, 2), F(0)), (F(-3),))
+    b = Functional.from_json({"eps": ["2/4", "0"], "del": ["-6/2"], "delta": "0/5"})
+    c = Functional((F(1, 2), F(0)), (F(-3),), F(1, 3))
+    assert a == b and hash(a) == hash(b)
+    assert a != c
+    assert repr(a) == repr(b) and "_den" not in repr(c)
 
 
 def test_triangular_zero_functional_is_trivial():
@@ -124,7 +162,62 @@ def test_synthesize_worked_example():
     ref = Functional((F(0),), (F(1), F(0)))
     assert {d for d in ambient if ref.evaluate(d) >= 0} == members
     zeta = synthesize_functional(dp)
+    # the nilradical sum (d1 - d2) + (d1 + d2) + 2 d1
+    assert zeta == Functional((0,), (4, 0))
     assert {d for d in ambient if zeta.evaluate(d) >= 0} == members
+
+
+def _fm_rows(dp):
+    """The weak system that synthesis by Fourier-Motzkin elimination solved:
+    symmetric members pin value 0, one-sided members demand >= 1, non-members
+    demand <= -1."""
+    rows = []
+    for dot in sorted(rs.dot_roots_0(dp.params, dp.component)):
+        if dot.is_zero:
+            continue
+        coeffs = tuple(F(c) for c in (dot.eps if dp.component == 2 else dot.dels))
+        neg = tuple(-c for c in coeffs)
+        if dot in dp.members and -dot in dp.members:
+            rows += [(coeffs, F(0)), (neg, F(0))]
+        elif dot in dp.members:
+            rows.append((coeffs, F(1)))
+        else:
+            rows.append((neg, F(1)))
+    return rows
+
+
+def test_synthesis_against_fm_oracle_on_every_pair_pattern():
+    # Every +- pair of every nonempty component takes +, - or both; the
+    # nilradical sum must succeed exactly on the parabolic patterns, where the
+    # Fourier-Motzkin system must be feasible too.
+    patterns = parabolic = 0
+    for p in valid_params(2, 2):
+        for i in (1, 2):
+            ambient = rs.dot_roots_0(p, i)
+            if not ambient:
+                continue
+            pairs = sorted({max(d, -d) for d in ambient if not d.is_zero})
+            nvars = p.k if i == 2 else p.l
+            for signs in product(((1,), (-1,), (1, -1)), repeat=len(pairs)):
+                members = {zero_vec(p.k, p.l)}
+                for d, picked in zip(pairs, signs):
+                    members.update(d.scale(sgn) for sgn in picked)
+                dp = DotParabolic(p, i, frozenset(members))
+                patterns += 1
+                if not is_parabolic(dp).ok:
+                    with pytest.raises(InfeasibleSystemError):
+                        synthesize_functional(dp)
+                    continue
+                parabolic += 1
+                zeta = synthesize_functional(dp)
+                assert all(c.denominator == 1 for c in zeta.eps + zeta.dels)
+                assert induced_dot_parabolic(p, i, zeta).members == dp.members
+                point = feasible_point(_fm_rows(dp), nvars)
+                assert point is not None
+                zero = (F(0),) * (p.l if i == 2 else p.k)
+                ref = Functional(point, zero) if i == 2 else Functional(zero, point)
+                assert induced_dot_parabolic(p, i, ref).members == dp.members
+    assert (patterns, parabolic) == (6168, 374)
 
 
 def test_is_parabolic_detects_mutations():
@@ -149,6 +242,7 @@ def test_roundtrip_random_functionals():
                 assert is_parabolic(dp).ok
                 back = synthesize_functional(dp)
                 assert induced_dot_parabolic(p, i, back).members == dp.members
+                assert all(c.denominator == 1 for c in back.eps + back.dels)
 
 
 def test_combine_functionals():
