@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from contextlib import contextmanager
+from functools import lru_cache
 
 from .families import AffineFamily, AlgebraParams, InvalidParamsError
 from .lattice import RootVector
@@ -543,8 +544,15 @@ _FAMILY_CONSTRAINTS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused: parsing
+    keeps no state in it, and building it costs more than most queries."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.list_families:
         for fam in AffineFamily:

@@ -13,14 +13,14 @@ convention reproduces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 class AmbientMismatchError(ValueError):
     """Raised when two vectors live in different (k, l) ambients."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootVector:
     """Integer coordinate vector over (eps_1..eps_k, del_1..del_l, delta).
 
@@ -41,7 +41,7 @@ class RootVector:
         return self.dc == 0 and not any(self.eps) and not any(self.dels)
 
     def _check_ambient(self, other: RootVector) -> None:
-        if self.ambient != other.ambient:
+        if len(self.eps) != len(other.eps) or len(self.dels) != len(other.dels):
             raise AmbientMismatchError(
                 f"ambient mismatch: {self.ambient} vs {other.ambient}"
             )
@@ -74,10 +74,10 @@ class RootVector:
 
     def dot_part(self) -> RootVector:
         """The delta-free part: a copy with dc set to 0."""
-        return replace(self, dc=0)
+        return RootVector(self.eps, self.dels, 0)
 
     def with_dc(self, dc: int) -> RootVector:
-        return replace(self, dc=dc)
+        return RootVector(self.eps, self.dels, dc)
 
     def key(self) -> tuple:
         """Lexicographic sort key (dc, eps, dels); fixes all enumeration orders."""

@@ -222,22 +222,16 @@ def odd_member_progression(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     return s_set(p, dot).difference(even_s_set(p, dot))
 
 
-def _even_component_of(p: AlgebraParams, v: RootVector) -> int | None:
-    for i in (1, 2):
-        prog = even_table(p, i).get(v.dot_part())
-        if prog is not None and v.dc in prog:
-            return i
-    return None
-
-
 def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     """Classify a nonzero root, cross-checking the clause-shape route against the
     bilinear-form route; a disagreement is an internal bug and raises."""
-    if not is_root(p, v):
+    _check_ambient(p, v)
+    dot = v.dot_part()
+    prog = root_table(p).get(dot)
+    if prog is None or v.dc not in prog:
         raise NotARootError(f"{v} is not a root of {p.describe()}")
     if v.is_zero:
         raise NotARootError("the zero vector is not classified; it lies in every part")
-    dot = v.dot_part()
 
     # Route 1: which clause shape matched.
     if dot.is_zero:
@@ -263,14 +257,13 @@ def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
 
     if metric is RootClass.IMAGINARY:
         return RootInfo(metric, None, Component.IMAGINARY_ONLY)
-    comp = _even_component_of(p, v)
-    if comp is None:
-        return RootInfo(metric, Parity.ODD, Component.ODD_PART)
-    if metric is RootClass.NONSINGULAR:
-        raise ClassificationBugError(f"nonsingular root {v} matched the even part")
-    return RootInfo(
-        metric, Parity.EVEN, Component.IN_R0_1 if comp == 1 else Component.IN_R0_2
-    )
+    for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2)):
+        even = even_table(p, i).get(dot)
+        if even is not None and v.dc in even:
+            if metric is RootClass.NONSINGULAR:
+                raise ClassificationBugError(f"nonsingular root {v} matched the even part")
+            return RootInfo(metric, Parity.EVEN, comp)
+    return RootInfo(metric, Parity.ODD, Component.ODD_PART)
 
 
 def enumerate_window(p: AlgebraParams, mmax: int) -> list[RootVector]:
@@ -281,7 +274,7 @@ def enumerate_window(p: AlgebraParams, mmax: int) -> list[RootVector]:
     for dot, prog in root_table(p).items():
         for m in prog.window(mmax):
             out.append(dot.with_dc(m))
-    return sorted(out)
+    return sorted(out, key=RootVector.key)
 
 
 # --- progression invariants ---------------------------------------------------
@@ -487,7 +480,7 @@ def check_double_odd(p: AlgebraParams, mmax: int) -> Verdict:
                if shape_of(doubled) in REAL_SHAPES else twice)
         m = (twice if bad.is_empty else bad).residues[0] // 2
         v.record(bad.is_empty, "doubled odd real root is real even",
-                 f"2*{dot.with_dc(m)} = {doubled.with_dc(2 * m)}")
+                 lambda: f"2*{dot.with_dc(m)} = {doubled.with_dc(2 * m)}")
     if v.checks == 0:
         v.record(True, "doubled odd real root is real even (vacuous)")
     return v

@@ -8,6 +8,7 @@ them visible in test windows.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from .families import AlgebraParams
@@ -87,12 +88,16 @@ def random_tight_config(
 MUTATION_KINDS = ("asymmetric_hybrid", "broken_doubling", "broken_closure")
 
 
-def _closure_break_targets(p: AlgebraParams) -> list[tuple[RootVector, RootVector, RootVector]]:
+@lru_cache(maxsize=None)
+def _closure_break_targets(
+    p: AlgebraParams,
+) -> tuple[tuple[RootVector, RootVector, RootVector], ...]:
     """Real dot triples (a, b, a+b) where flipping a+b to fully-in from an
     all-fully-ln baseline passes validation but breaks closure: the sum must not
-    be the double of an odd class nor an odd class with a root double."""
+    be the double of an odd class nor an odd class with a root double.  Cached
+    per params; every sum is the real dot object itself, not a copy of it."""
     reals = real_dot_roots(p)
-    realset = set(reals)
+    canonical = {d: d for d in reals}
     protected = set()
     for dot, doubled in doubling_pairs(p):
         protected.add(doubled)
@@ -100,10 +105,10 @@ def _closure_break_targets(p: AlgebraParams) -> list[tuple[RootVector, RootVecto
     out = []
     for a in reals:
         for b in reals:
-            c = a + b
-            if c in realset and c not in protected and -c not in protected:
+            c = canonical.get(a + b)
+            if c is not None and c not in protected and -c not in protected:
                 out.append((a, b, c))
-    return out
+    return tuple(out)
 
 
 def adversarial_config(p: AlgebraParams, rng: Random, kind: str, mmax: int = 8) -> ShadowConfig:

@@ -167,14 +167,15 @@ def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) 
                   else RootClass.IMAGINARY if root.dot_part().is_zero
                   else RootClass.NONSINGULAR)
         v.record(info.root_class is metric, "classification matches the form",
-                 f"{root}")
-        v.record(root.dot_part() in dot_roots(p), "dot part is a dot root", f"{root}")
+                 lambda: f"{root}")
+        v.record(root.dot_part() in dot_roots(p), "dot part is a dot root",
+                 lambda: f"{root}")
     for i in (1, 2):
         for dot, prog in even_table(p, i).items():
             for m in prog.window(mmax):
                 v.record(is_root(p, dot.with_dc(m)),
                          f"component {i} sits inside the root system",
-                         f"{dot.with_dc(m)}")
+                         lambda: f"{dot.with_dc(m)}")
     both = set(even_table(p, 1)) & set(even_table(p, 2))
     v.record(all(d.is_zero for d in both),
              "components intersect only along the imaginary line", f"{sorted(both)}")

@@ -1,9 +1,11 @@
 """Command-line surface: formats, determinism, exit codes, usage errors."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,39 @@ def test_list_families_inprocess(capsys):
 
 def test_no_command_prints_help():
     assert main([]) == 2
+
+
+def _main_inprocess(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, as a process would end."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    if isinstance(rc, str):  # the interpreter prints the message and exits 1
+        err.write(rc + "\n")
+        rc = 1
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_fresh_processes():
+    """``main`` reuses its parser across calls; no call may see state left by
+    an earlier one, a failed parse included."""
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1"]
+    sequence = [
+        ["roots", *base],
+        ["classify", *base, "--root", '{"eps":[0],"del":[2],"dc":0}'],
+        ["tables", "--family", "a-4", "--k", "1", "--l", "1", "--format", "tex"],
+        ["roots", "--family", "a-even-2", "--k", "1"],
+        ["roots", *base, "--mmax", "-1"],
+        ["roots", *base],
+    ]
+    results = [_main_inprocess(argv) for argv in sequence]
+    assert [rc for rc, _, _ in results] == [0, 0, 0, 2, 1, 0]
+    for argv, got in zip(sequence, results):
+        fresh = run_cli(*argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _malformed_inputs(tmp_path):

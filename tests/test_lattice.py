@@ -1,5 +1,7 @@
 """Lattice vectors and the invariant form."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +77,19 @@ def test_ordering_is_lex_on_dc_eps_del():
     b = RootVector((1, 0), (0, 0, 0), 0)
     c = RootVector((1, 0), (1, 0, 0), 0)
     assert sorted([c, b, a]) == [a, b, c]
+
+
+def test_root_vector_is_slotted_and_frozen():
+    v = RootVector((1, 0), (0, 2, 0), 3)
+    assert not hasattr(v, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        v.dc = 0
+
+
+@given(vectors, coords)
+def test_direct_construction_matches_replace(v, dc):
+    assert v.with_dc(dc) == replace(v, dc=dc)
+    assert v.dot_part() == replace(v, dc=0)
 
 
 def test_json_roundtrip():

@@ -94,6 +94,13 @@ def test_enumerate_window_examples():
     assert zero_vec(0, 1) in rs.enumerate_window(p0, 0)
 
 
+def test_enumerate_window_key_order_is_the_vector_order():
+    for p in valid_params(3, 3):
+        for mmax in range(5):
+            w = rs.enumerate_window(p, mmax)
+            assert w == sorted(w), (p, mmax)
+
+
 def brute_force_window(p, mmax):
     out = []
     for eps in product(range(-2, 3), repeat=p.k):
