@@ -331,16 +331,17 @@ def _cmd_shadow_derive_p(args) -> int:
             "proper": dp.proper,
             "parabolic": ip.ok,
         }
+    tight = is_tight(cfg)
+    mixed = check_mixed_components(cfg).ok
     findings = []
-    if (is_tight(cfg) and check_mixed_components(cfg).ok
-            and propers and not any(propers)):
+    if tight and mixed and propers and not any(propers):
         findings.append(
             "every component trace is improper although the config is tight "
             "with mixed components; at least one should be proper")
     doc = {
         "valid": True,
-        "tight": is_tight(cfg),
-        "mixed_components": check_mixed_components(cfg).ok,
+        "tight": tight,
+        "mixed_components": mixed,
         "closure": {
             "ok": closure.ok,
             "checks": closure.checks,
@@ -393,9 +394,8 @@ def _cmd_parabolic_synth(args) -> int:
 
 def _cmd_phi_pi(args) -> int:
     p = _params(args)
-    _require_nonnegative(args, "mmax")
     zeta = _load_functional(p, args.functional)
-    gens = generator_set(p, zeta, args.mmax)
+    gens = generator_set(p, zeta)
     doc = {
         "family": p.family.token, "k": p.k, "l": p.l,
         "functional": zeta.to_json(),
@@ -414,10 +414,9 @@ def _cmd_phi_pi(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = _params(args)
-    _require_nonnegative(args, "mmax")
     zeta = _load_functional(p, args.functional)
     target = _parse_root(p, args.root)
-    gens = generator_set(p, zeta, args.mmax)
+    gens = generator_set(p, zeta)
     if target not in set(gens.positive):
         raise SystemExit(f"error: {target} is not in the positive slice")
     coeffs = decompose_over_generators(target, gens)
@@ -520,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="shifted dot roots, positive slice and its generators")
     _add_params(sp)
     sp.add_argument("--functional", required=True, help="functional JSON file")
-    sp.add_argument("--mmax", type=int, default=8)
     _add_out(sp)
     sp.set_defaults(func=_cmd_phi_pi)
 
@@ -529,19 +527,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(sp)
     sp.add_argument("--functional", required=True)
     sp.add_argument("--root", required=True)
-    sp.add_argument("--mmax", type=int, default=8)
     _add_out(sp)
     sp.set_defaults(func=_cmd_decompose)
 
     return parser
-
-
-_FAMILY_CONSTRAINTS = {
-    AffineFamily.A_EVEN_2: "k >= 0, l >= 1",
-    AffineFamily.A_ODD_2: "k >= 1, l >= 1, (k, l) != (1, 1)",
-    AffineFamily.A_4: "k >= 0, l >= 1",
-    AffineFamily.D_2: "k >= 0, l >= 1",
-}
 
 
 @lru_cache(maxsize=1)
@@ -556,7 +545,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.list_families:
         for fam in AffineFamily:
-            print(f"{fam.token:12s} {fam.tex_name():24s} {_FAMILY_CONSTRAINTS[fam]}")
+            print(f"{fam.token:12s} {fam.tex_name():24s} {fam.constraints}")
         return 0
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)

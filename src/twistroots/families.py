@@ -30,6 +30,14 @@ class AffineFamily(Enum):
             AffineFamily.D_2: r"D(k+1,\ell)^{(2)}",
         }[self]
 
+    @property
+    def constraints(self) -> str:
+        """The (k, l) envelope that ``AlgebraParams`` enforces, as listed by
+        ``twistroots --list-families``."""
+        if self is AffineFamily.A_ODD_2:
+            return "k >= 1, l >= 1, (k, l) != (1, 1)"
+        return "k >= 0, l >= 1"
+
     @staticmethod
     def from_token(token: str) -> AffineFamily:
         for fam in AffineFamily:

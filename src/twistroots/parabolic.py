@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -22,12 +21,11 @@ from .reporting import Verdict
 from .rootsys import (
     EmptyComponentError,
     dot_roots_0,
-    enumerate_window,
     even_table,
     r_invariants,
     real_dot_roots,
 )
-from .shadow import ShadowConfig, StateKind, derive_parabolic
+from .shadow import ParabolicSet, ShadowConfig, StateKind
 from .tables import REAL_SHAPES, shape_of
 
 
@@ -149,7 +147,7 @@ def dot_parabolic_from_config(cfg: ShadowConfig, i: int, mmax: int = 8) -> DotPa
     table = even_table(p, i)
     if not table:
         raise EmptyComponentError(f"component {i} of {p.describe()} is empty")
-    pset = derive_parabolic(cfg)
+    pset = ParabolicSet(cfg)
     return DotParabolic(p, i, frozenset(d for d in table if d.is_zero or pset.contains_class(d)))
 
 
@@ -269,8 +267,9 @@ class GeneratorSet:
 
     ``shifted_real`` ranges over nonzero real dots, ``shifted_full`` over all
     nonzero dots; the two variants differ exactly on the nonsingular shapes and
-    both are kept (the window identity is stated for the full variant, the
-    generator combinatorics for the real one).
+    both are kept (the window identity is stated for the full variant and
+    checked by the classification suite, the generator combinatorics for the
+    real one).
     """
 
     params: AlgebraParams
@@ -290,9 +289,11 @@ def _split_witness(
     return next((a for a in positive if (v - a) in pos_set), None)
 
 
-def _shifted_full(p: AlgebraParams) -> list[RootVector]:
+def shifted_full(p: AlgebraParams) -> list[RootVector]:
     """Every nonzero dot shifted by each of its residues modulo the global
-    modulus, in dot order."""
+    modulus, in dot order.  Steps of the global modulus from this set reach
+    every nonzero non-imaginary root and nothing else; the classification
+    suite checks that window identity once per params."""
     inv = r_invariants(p)
     return [
         dot.with_dc(res)
@@ -301,44 +302,19 @@ def _shifted_full(p: AlgebraParams) -> list[RootVector]:
     ]
 
 
-@lru_cache(maxsize=None)
-def _check_window_identity(p: AlgebraParams, mmax: int) -> None:
-    """Every nonzero non-imaginary root with |dc| <= mmax is reached from the
-    full shifted set by steps of the global modulus, and nothing else is.
-    It depends only on (p, mmax), so it runs once per pair; a mismatch is not
-    cached and raises on every call."""
-    r = r_invariants(p).global_modulus
-    covered = set()
-    for v in _shifted_full(p):
-        for dc in range(-mmax, mmax + 1):
-            if (dc - v.dc) % r == 0:
-                covered.add(v.with_dc(dc))
-    window_nonim = {
-        w for w in enumerate_window(p, mmax) if not w.dot_part().is_zero
-    }
-    if covered != window_nonim:  # pragma: no cover - identity is structural
-        raise AssertionError("window identity for the shifted dot set failed")
-
-
 def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> GeneratorSet:
     """Shift every nonzero dot by its residues modulo the global modulus, take
     the functional-positive real slice, and extract its indecomposables.
-
-    The window identity of the shifted set at ``mmax`` is verified before
-    returning (see ``_check_window_identity``).
-    """
+    ``mmax`` does not change the result."""
     if zeta.delta != 0:
         raise ValueError("the functional must vanish on delta")
-    shifted_full = _shifted_full(p)
-    shifted_real = [v for v in shifted_full if shape_of(v.dot_part()) in REAL_SHAPES]
+    full = shifted_full(p)
+    shifted_real = [v for v in full if shape_of(v.dot_part()) in REAL_SHAPES]
     positive = tuple(v for v in shifted_real if zeta.evaluate(v) > 0)
     pos_set = set(positive)
     generators = tuple(v for v in positive if _split_witness(v, positive, pos_set) is None)
-    _check_window_identity(p, mmax)
     r = r_invariants(p).global_modulus
-    return GeneratorSet(
-        p, zeta, r, tuple(shifted_real), tuple(shifted_full), positive, generators
-    )
+    return GeneratorSet(p, zeta, r, tuple(shifted_real), tuple(full), positive, generators)
 
 
 def decompose_over_generators(

@@ -85,9 +85,6 @@ def random_tight_config(
     return config_from_functional(p, zeta, rng, mmax), zeta
 
 
-MUTATION_KINDS = ("asymmetric_hybrid", "broken_doubling", "broken_closure")
-
-
 @lru_cache(maxsize=None)
 def _closure_break_targets(
     p: AlgebraParams,

@@ -21,7 +21,6 @@ the class, so member_ln and member_in are complementary on real roots.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -199,15 +198,6 @@ class ShadowConfig:
             assignments[dot] = state
         return cls.from_assignments(params, assignments)
 
-    @classmethod
-    def load(cls, params: AlgebraParams, path: str) -> ShadowConfig:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
-        return cls.from_json(params, doc)
-
 
 # --- validity -----------------------------------------------------------------
 
@@ -351,10 +341,6 @@ class ParabolicSet:
         return self.contains_class(v.dot_part())
 
 
-def derive_parabolic(cfg: ShadowConfig) -> ParabolicSet:
-    return ParabolicSet(cfg)
-
-
 def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     """Cover and closure of the derived set inside the real+imaginary part.
 
@@ -366,7 +352,7 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     """
     v = Verdict()
     p = cfg.params
-    pset = derive_parabolic(cfg)
+    pset = ParabolicSet(cfg)
     table = root_table(p)
     real_dots = real_dot_roots(p)
 

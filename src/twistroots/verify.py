@@ -13,7 +13,7 @@ from itertools import product
 from random import Random
 
 from .families import AlgebraParams
-from .lattice import RootVector, norm, zero_vec
+from .lattice import RootVector, zero_vec
 from .parabolic import (
     InfeasibleSystemError,
     check_positivity_alignment,
@@ -23,11 +23,12 @@ from .parabolic import (
     generator_set,
     induced_dot_parabolic,
     is_parabolic,
+    shifted_full,
     synthesize_functional,
 )
 from .reporting import Failure, Verdict
 from .rootsys import (
-    RootClass,
+    ClassificationBugError,
     check_double_odd,
     check_length_trichotomy,
     check_ns_sum,
@@ -152,22 +153,29 @@ def suite_tables(p: AlgebraParams) -> RunReport:
 
 
 def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) -> RunReport:
-    """Window coherence of the two classification routes, even-part containment,
-    and (for small parameters) agreement with the brute-force enumerator."""
+    """Window coherence of the two classification routes, the window identity
+    of the shifted dot set, even-part containment, and (for small parameters)
+    agreement with the brute-force enumerator."""
     t0 = time.time()
     v = Verdict()
     window = enumerate_window(p, mmax)
     v.record(len(window) == len(set(window)), "window is duplicate-free", "")
     v.record(window == sorted(window), "window is canonically ordered", "")
+    r = r_invariants(p).global_modulus
+    covered = {s.with_dc(dc) for s in shifted_full(p)
+               for dc in range(-mmax, mmax + 1) if (dc - s.dc) % r == 0}
+    non_imaginary = {w for w in window if not w.dot_part().is_zero}
+    v.record(covered == non_imaginary, "shifted dot set covers the window exactly",
+             lambda: f"mmax={mmax}: differ on {sorted(covered ^ non_imaginary)}")
     for root in window:
         if root.is_zero:
             continue
-        info = classify(p, root)  # raises on any route disagreement
-        metric = (RootClass.REAL if norm(root) != 0
-                  else RootClass.IMAGINARY if root.dot_part().is_zero
-                  else RootClass.NONSINGULAR)
-        v.record(info.root_class is metric, "classification matches the form",
-                 lambda: f"{root}")
+        try:
+            classify(p, root)
+            bug = ""
+        except ClassificationBugError as exc:
+            bug = str(exc)
+        v.record(not bug, "classification matches the form", bug)
         v.record(root.dot_part() in dot_roots(p), "dot part is a dot root",
                  lambda: f"{root}")
     for i in (1, 2):
@@ -284,17 +292,16 @@ def suite_shadow_pipeline(
 
 
 def suite_generators(
-    p: AlgebraParams, seed: int = DEFAULT_SEED, n_functionals: int = 50, mmax: int = 8
+    p: AlgebraParams, seed: int = DEFAULT_SEED, n_functionals: int = 50
 ) -> RunReport:
     """Every element of the positive slice decomposes over the indecomposable
-    generators with nonnegative integer coefficients, for seeded functionals;
-    the window identity of the shifted dot set is checked inside generator_set."""
+    generators with nonnegative integer coefficients, for seeded functionals."""
     t0 = time.time()
     v = Verdict()
     rng = Random(seed)
     for idx in range(n_functionals):
         zeta = random_functional(p, rng)
-        gens = generator_set(p, zeta, mmax)
+        gens = generator_set(p, zeta)
         v.record(set(gens.generators) <= set(gens.positive),
                  "generators live in the positive slice", f"functional {idx}")
         for target in gens.positive:
@@ -357,6 +364,6 @@ def run_all(
         suite_classification(p, mmax, brute_bound=brute),
         suite_structure(p, mmax),
         suite_shadow_pipeline(p, seed, n_configs, n_adversarial, mmax),
-        suite_generators(p, seed, n_functionals, mmax),
+        suite_generators(p, seed, n_functionals),
         suite_roundtrip(p, seed, n_roundtrip),
     ]

@@ -151,7 +151,7 @@ def test_criterion_5_generator_decomposition():
     all_ok = True
     details = []
     for p in PIPELINE_PARAMS:
-        rep = suite_generators(p, seed=DEFAULT_SEED, n_functionals=50, mmax=8)
+        rep = suite_generators(p, seed=DEFAULT_SEED, n_functionals=50)
         all_ok &= rep.ok
         details.append(f"{p.family.token}: {rep.checks} checks")
     # the pinned worked example

@@ -206,6 +206,29 @@ def test_phi_pi_and_decompose(tmp_path):
         {"generator": {"eps": [0], "del": [1], "dc": 0}, "count": 2}]
 
 
+@pytest.mark.parametrize("command", ["phi-pi", "decompose"])
+def test_generator_commands_take_no_mmax(tmp_path, command):
+    zeta_file = tmp_path / "zeta.json"
+    zeta_file.write_text(json.dumps({"eps": ["2"], "del": ["1"], "delta": "0"}))
+    argv = [command, "--family", "a-even-2", "--k", "1", "--l", "1",
+            "--functional", str(zeta_file)]
+    if command == "decompose":
+        argv += ["--root", '{"eps":[0],"del":[2],"dc":0}']
+    rc, out, err = _main_inprocess(argv + ["--mmax", "8"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --mmax 8")
+
+
+def test_list_families_text(capsys):
+    assert main(["--list-families"]) == 0
+    assert capsys.readouterr().out == (
+        "a-even-2     A(2k,2\\ell-1)^{(2)}      k >= 0, l >= 1\n"
+        "a-odd-2      A(2k-1,2\\ell-1)^{(2)}    k >= 1, l >= 1, (k, l) != (1, 1)\n"
+        "a-4          A(2k,2\\ell)^{(4)}        k >= 0, l >= 1\n"
+        "d-2          D(k+1,\\ell)^{(2)}        k >= 0, l >= 1\n"
+    )
+
+
 def test_list_families_inprocess(capsys):
     assert main(["--list-families"]) == 0
     out = capsys.readouterr().out

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.fm import feasible_point
 from twistroots.lattice import RootVector, del_unit, delta_vec, eps_unit, zero_vec
+from twistroots.progressions import ProgressionSet
 from twistroots import rootsys as rs
 from twistroots.parabolic import (
     DotParabolic,
@@ -341,6 +342,19 @@ def test_generator_set_rejects_delta_weight():
     p = P(AffineFamily.A_4, 1, 1)
     with pytest.raises(ValueError):
         generator_set(p, Functional((F(1),), (F(0),), F(1)))
+
+
+def test_generator_set_ignores_mmax_and_scans_no_window(monkeypatch):
+    def no_window(self, mmax):
+        raise AssertionError("generator_set enumerated a window")
+
+    monkeypatch.setattr(ProgressionSet, "window", no_window)
+    rng = Random(5)
+    for fam in AffineFamily:
+        p = P(fam, 1, 2)
+        for _ in range(4):
+            zeta = random_functional(p, rng)
+            assert generator_set(p, zeta, 0) == generator_set(p, zeta, 8)
 
 
 def test_decompose_rejects_outsiders():

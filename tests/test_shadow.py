@@ -22,12 +22,12 @@ from twistroots.shadow import (
     Case,
     ConfigError,
     HybridProfile,
+    ParabolicSet,
     ShadowConfig,
     StateKind,
     canonical_rep,
     check_mixed_components,
     check_parabolic,
-    derive_parabolic,
     hybrid,
     is_hybrid_module,
     is_tight,
@@ -189,7 +189,7 @@ def test_parabolic_set_membership():
     p = P(AffineFamily.A_EVEN_2, 1, 1)
     d1, dl = del_unit(1, 1, 1), delta_vec(1, 1)
     cfg = pair_config(p, {-d1: FULL_IN, -d1.scale(2): FULL_IN})
-    pset = derive_parabolic(cfg)
+    pset = ParabolicSet(cfg)
     assert d1 in pset                        # its class is fully-ln
     assert d1 + dl.scale(5) in pset          # membership is class-constant
     assert d1 in pset or cfg.states[-d1] is not FULL_IN  # also -R_f-in puts it in
@@ -225,7 +225,7 @@ def test_check_parabolic_closure_counterexample():
 def brute_check_parabolic(cfg, mmax):
     """Literal window-pair closure check, as a reference for the class-grouped one."""
     p = cfg.params
-    pset = derive_parabolic(cfg)
+    pset = ParabolicSet(cfg)
     members = []
     for v in rs.enumerate_window(p, mmax):
         if not v.dot_part().is_zero:

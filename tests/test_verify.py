@@ -1,8 +1,14 @@
 """Verification suites: determinism and end-to-end passes on small batches."""
 
-from twistroots.families import AffineFamily, AlgebraParams
+import pytest
+
+from twistroots import verify
+from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.reporting import Failure, Verdict
-from twistroots.verify import run_all, suite_shadow_pipeline
+from twistroots.rootsys import ClassificationBugError
+from twistroots.verify import run_all, suite_classification, suite_shadow_pipeline
+
+WINDOW_IDENTITY = "shifted dot set covers the window exactly"
 
 
 def test_callable_witness_is_called_only_on_failure():
@@ -44,3 +50,46 @@ def test_seed_changes_the_draws():
     cfg_a, zeta_a = random_tight_config(p, Random(1))
     cfg_b, zeta_b = random_tight_config(p, Random(2))
     assert zeta_a != zeta_b or cfg_a.states != cfg_b.states
+
+
+@pytest.mark.parametrize("mmax", [0, 1, 8])
+def test_window_identity_holds_once_per_params(monkeypatch, mmax):
+    calls = []
+    shifted_full = verify.shifted_full
+
+    def spy(p):
+        calls.append(p)
+        return shifted_full(p)
+
+    monkeypatch.setattr(verify, "shifted_full", spy)
+    params = valid_params(3, 3)
+    for p in params:
+        rep = suite_classification(p, mmax)
+        assert rep.ok, (p.describe(), rep.failures)
+    assert calls == params
+
+
+def test_window_identity_is_live(monkeypatch):
+    shifted_full = verify.shifted_full
+    monkeypatch.setattr(verify, "shifted_full", lambda p: shifted_full(p)[:-1])
+    rep = suite_classification(AlgebraParams(AffineFamily.D_2, 1, 1), 8)
+    assert [f.check for f in rep.failures] == [WINDOW_IDENTITY]
+
+
+def test_classification_bug_is_recorded_not_raised(monkeypatch):
+    p = AlgebraParams(AffineFamily.A_4, 1, 1)
+    clean = suite_classification(p, 2)
+    classify = verify.classify
+    raised = []
+
+    def buggy(p, root):
+        if not raised:
+            raised.append(root)
+            raise ClassificationBugError(f"classification disagreement on {root}")
+        return classify(p, root)
+
+    monkeypatch.setattr(verify, "classify", buggy)
+    rep = suite_classification(p, 2)
+    assert rep.checks == clean.checks
+    assert rep.failures == [Failure("classification matches the form",
+                                    f"classification disagreement on {raised[0]}")]
