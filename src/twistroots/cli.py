@@ -4,7 +4,8 @@ Subcommands map one-to-one onto library operations: table emission,
 classification queries, exhaustive verification suites, shadow-config
 validation and parabolic synthesis.  Output is deterministic for fixed flags
 and seed (machine output on stdout or --out; human summaries on stderr), and
-the exit status is 0 exactly when no check failed.
+the exit status is 0 exactly when no check failed (`classify` exits 1 on a
+vector that is not a root, a negative answer rather than an input error).
 
 CSV columns: `roots` emits eps,del,dc,class,parity,component with coordinate
 lists space-separated; `tables` emits table,dot_eps,dot_del,mod,residues.
@@ -21,6 +22,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from .families import AffineFamily, AlgebraParams, InvalidParamsError
+from .jsonout import json_text
 from .lattice import RootVector
 from .parabolic import (
     Functional,
@@ -33,11 +35,12 @@ from .parabolic import (
     synthesize_functional,
 )
 from .rootsys import (
+    RootInfo,
     classify,
+    classify_window,
     component_empty,
     dot_roots,
     dot_roots_0,
-    enumerate_window,
     even_table,
     is_root,
     root_table,
@@ -89,10 +92,6 @@ def _require_nonnegative(args, *names: str) -> None:
             raise SystemExit(f"error: --{name} must be >= 0, got {getattr(args, name)}")
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _load_json(path: str, what: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -141,12 +140,16 @@ def _load_config(p: AlgebraParams, path: str) -> ShadowConfig:
         raise SystemExit(f"error: config file {path}: {exc}")
 
 
-def _classify_fields(p: AlgebraParams, v: RootVector) -> tuple[str, str, str]:
-    if v.is_zero:
+def _info_fields(info: RootInfo | None) -> tuple[str, str, str]:
+    """class, parity and component of a classification; None is the zero root."""
+    if info is None:
         return ("zero", "unspecified", "all")
-    info = classify(p, v)
     parity = info.parity.value if info.parity is not None else "unspecified"
     return (info.root_class.value, parity, info.component.value)
+
+
+def _classify_fields(p: AlgebraParams, v: RootVector) -> tuple[str, str, str]:
+    return _info_fields(None if v.is_zero else classify(p, v))
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -155,11 +158,7 @@ def _classify_fields(p: AlgebraParams, v: RootVector) -> tuple[str, str, str]:
 def _cmd_roots(args) -> int:
     p = _params(args)
     _require_nonnegative(args, "mmax")
-    window = enumerate_window(p, args.mmax)
-    entries = []
-    for v in window:
-        cls, parity, comp = _classify_fields(p, v)
-        entries.append((v, cls, parity, comp))
+    entries = [(v, *_info_fields(info)) for v, info in classify_window(p, args.mmax)]
     if args.format == "json":
         doc = {
             "family": p.family.token,
@@ -172,7 +171,7 @@ def _cmd_roots(args) -> int:
                 for v, cls, parity, comp in entries
             ],
         }
-        _emit(args, _json_text(doc))
+        _emit(args, json_text(doc))
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -197,10 +196,10 @@ def _cmd_classify(args) -> int:
     p = _params(args)
     v = _parse_root(p, args.root)
     if not is_root(p, v):
-        _emit(args, _json_text({"root": v.to_json(), "is_root": False}))
+        _emit(args, json_text({"root": v.to_json(), "is_root": False}))
         return 1
     cls, parity, comp = _classify_fields(p, v)
-    _emit(args, _json_text({
+    _emit(args, json_text({
         "root": v.to_json(), "is_root": True,
         "class": cls, "parity": parity, "component": comp,
     }))
@@ -210,7 +209,8 @@ def _cmd_classify(args) -> int:
 def _clauses_json(p: AlgebraParams, rows) -> list[dict]:
     out = []
     for token, pats in rows:
-        dots = sorted({d for pat in pats for d in expand_pattern(pat, p.k, p.l)})
+        dots = sorted({d for pat in pats for d in expand_pattern(pat, p.k, p.l)},
+                      key=RootVector.key)
         out.append({
             "dot": [d.to_json() for d in dots],
             "progression": resolve_progression(token, p).to_json(),
@@ -231,7 +231,7 @@ def _cmd_tables(args) -> int:
         for i in (1, 2):
             sections.append((f"R0_{i}", even_table(p, i)))
         for name, table in sections:
-            for dot in sorted(table):
+            for dot in sorted(table, key=RootVector.key):
                 prog = table[dot]
                 writer.writerow(
                     [name, " ".join(map(str, dot.eps)), " ".join(map(str, dot.dels)),
@@ -251,21 +251,23 @@ def _cmd_tables(args) -> int:
         },
         "S": [
             {"dot": dot.to_json(), "progression": root_table(p)[dot].to_json()}
-            for dot in sorted(dot_roots(p)) if not dot.is_zero
+            for dot in sorted(dot_roots(p), key=RootVector.key) if not dot.is_zero
         ],
         "S0": {
             str(i): [
                 {"dot": dot.to_json(), "progression": even_table(p, i)[dot].to_json()}
-                for dot in sorted(dot_roots_0(p, i)) if not dot.is_zero
+                for dot in sorted(dot_roots_0(p, i), key=RootVector.key)
+                if not dot.is_zero
             ]
             for i in (1, 2)
         },
-        "Rdot": [d.to_json() for d in sorted(dot_roots(p))],
+        "Rdot": [d.to_json() for d in sorted(dot_roots(p), key=RootVector.key)],
         "Rdot0": {
-            str(i): [d.to_json() for d in sorted(dot_roots_0(p, i))] for i in (1, 2)
+            str(i): [d.to_json() for d in sorted(dot_roots_0(p, i), key=RootVector.key)]
+            for i in (1, 2)
         },
     }
-    _emit(args, _json_text(doc))
+    _emit(args, json_text(doc))
     return 0
 
 
@@ -290,7 +292,7 @@ def _cmd_verify(args) -> int:
             "reports": [r.to_json() for r in reports],
             "ok": all(r.ok for r in reports),
         }
-        out.write(_json_text(doc))
+        out.write(json_text(doc))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -298,7 +300,7 @@ def _cmd_shadow_validate(args) -> int:
     p = _params(args)
     cfg = _load_config(p, args.config)
     verdict = validate(cfg)
-    _emit(args, _json_text({
+    _emit(args, json_text({
         "valid": verdict.ok,
         "checks": verdict.checks,
         "failures": [f.to_json() for f in verdict.failures],
@@ -311,7 +313,7 @@ def _cmd_shadow_derive_p(args) -> int:
     cfg = _load_config(p, args.config)
     verdict = validate(cfg)
     if not verdict.ok:
-        _emit(args, _json_text({
+        _emit(args, json_text({
             "valid": False,
             "failures": [f.to_json() for f in verdict.failures],
         }))
@@ -350,7 +352,7 @@ def _cmd_shadow_derive_p(args) -> int:
         "components": components,
         "findings": findings,
     }
-    _emit(args, _json_text(doc))
+    _emit(args, json_text(doc))
     return 0 if closure.ok and not findings else 1
 
 
@@ -388,7 +390,7 @@ def _cmd_parabolic_synth(args) -> int:
     if combined.is_zero:
         doc["note"] = ("combined functional is zero: no component trace is proper, "
                        "which violates the nontriviality the induction step needs")
-    _emit(args, _json_text(doc))
+    _emit(args, json_text(doc))
     return 0
 
 
@@ -408,7 +410,7 @@ def _cmd_phi_pi(args) -> int:
                  "shifted_full over all nonzero dots (the window covering identity); "
                  "they differ on the nonsingular shapes"),
     }
-    _emit(args, _json_text(doc))
+    _emit(args, json_text(doc))
     return 0
 
 
@@ -423,10 +425,11 @@ def _cmd_decompose(args) -> int:
     doc = {
         "root": target.to_json(),
         "coefficients": [
-            {"generator": g.to_json(), "count": coeffs[g]} for g in sorted(coeffs)
+            {"generator": g.to_json(), "count": coeffs[g]}
+            for g in sorted(coeffs, key=RootVector.key)
         ],
     }
-    _emit(args, _json_text(doc))
+    _emit(args, json_text(doc))
     return 0
 
 
@@ -464,7 +467,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(sp)
     sp.set_defaults(func=_cmd_roots)
 
-    sp = subs.add_parser("classify", help="classify a single root")
+    sp = subs.add_parser(
+        "classify", help="classify a single root",
+        epilog='A vector that is not a root gets {"is_root": false} and exit status 1: '
+               "a negative answer, like a failed check, not an input error.")
     _add_params(sp)
     sp.add_argument("--root", required=True,
                     help='root as JSON, e.g. {"eps":[1],"del":[0],"dc":0}')

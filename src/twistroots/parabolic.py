@@ -117,7 +117,8 @@ def triangular(roots, zeta: Functional) -> TriangularDecomp:
     for v in roots:
         val = zeta.evaluate(v)
         (pos if val > 0 else neg if val < 0 else zer).append(v)
-    return TriangularDecomp(tuple(sorted(pos)), tuple(sorted(zer)), tuple(sorted(neg)))
+    return TriangularDecomp(*(tuple(sorted(part, key=RootVector.key))
+                              for part in (pos, zer, neg)))
 
 
 # --- parabolic subsets of the even components -----------------------------------
@@ -136,7 +137,7 @@ class DotParabolic:
         return self.members != dot_roots_0(self.params, self.component)
 
     def sorted_members(self) -> list[RootVector]:
-        return sorted(self.members)
+        return sorted(self.members, key=RootVector.key)
 
 
 def dot_parabolic_from_config(cfg: ShadowConfig, i: int, mmax: int = 8) -> DotParabolic:
@@ -156,7 +157,7 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
     in the component stay in the subset), checked exhaustively."""
     v = Verdict()
     ambient = dot_roots_0(dp.params, dp.component)
-    for dot in sorted(ambient):
+    for dot in sorted(ambient, key=RootVector.key):
         v.record(
             dot in dp.members or -dot in dp.members,
             f"cover on component {dp.component}",
@@ -297,7 +298,7 @@ def shifted_full(p: AlgebraParams) -> list[RootVector]:
     inv = r_invariants(p)
     return [
         dot.with_dc(res)
-        for dot in sorted(inv.per_dot)
+        for dot in sorted(inv.per_dot, key=RootVector.key)
         for res in inv.per_dot[dot].residues_mod_global
     ]
 

@@ -45,6 +45,7 @@ __all__ = [
     "RootInfo",
     "is_root",
     "classify",
+    "classify_window",
     "enumerate_window",
     "dot_roots",
     "dot_roots_0",
@@ -157,7 +158,8 @@ def dot_roots_0(p: AlgebraParams, i: int) -> frozenset[RootVector]:
 def real_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Nonzero delta-free roots of real shape, in canonical order."""
     return tuple(
-        d for d in sorted(root_table(p)) if not d.is_zero and shape_of(d) in REAL_SHAPES
+        d for d in sorted(root_table(p), key=RootVector.key)
+        if not d.is_zero and shape_of(d) in REAL_SHAPES
     )
 
 
@@ -165,7 +167,8 @@ def real_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
 def ns_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Nonzero delta-free roots of mixed (nonsingular) shape, in canonical order."""
     return tuple(
-        d for d in sorted(root_table(p)) if not d.is_zero and shape_of(d) is Shape.MIXED
+        d for d in sorted(root_table(p), key=RootVector.key)
+        if not d.is_zero and shape_of(d) is Shape.MIXED
     )
 
 
@@ -222,6 +225,39 @@ def odd_member_progression(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     return s_set(p, dot).difference(even_s_set(p, dot))
 
 
+def _root_class(dot: RootVector) -> RootClass:
+    """The class of every root over ``dot``, by the clause-shape route checked
+    against the bilinear-form route; a disagreement is an internal bug and
+    raises.  The form ignores delta, so the class depends on the dot alone."""
+    zero = dot.is_zero
+    # Route 1: which clause shape matched.
+    if zero:
+        syntactic = RootClass.IMAGINARY
+    elif shape_of(dot) is Shape.MIXED:
+        syntactic = RootClass.NONSINGULAR
+    else:
+        syntactic = RootClass.REAL
+
+    # Route 2: the form.  The radical of the span meets the root lattice in Z*delta.
+    if norm(dot) != 0:
+        metric = RootClass.REAL
+    elif zero:
+        metric = RootClass.IMAGINARY
+    else:
+        metric = RootClass.NONSINGULAR
+
+    if syntactic is not metric:
+        raise ClassificationBugError(
+            f"classification disagreement on {dot} + Z*delta: clause says "
+            f"{syntactic}, form says {metric}"
+        )
+    return metric
+
+
+_IMAGINARY_INFO = RootInfo(RootClass.IMAGINARY, None, Component.IMAGINARY_ONLY)
+_EVEN_COMPONENTS = ((1, Component.IN_R0_1), (2, Component.IN_R0_2))
+
+
 def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     """Classify a nonzero root, cross-checking the clause-shape route against the
     bilinear-form route; a disagreement is an internal bug and raises."""
@@ -233,37 +269,50 @@ def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     if v.is_zero:
         raise NotARootError("the zero vector is not classified; it lies in every part")
 
-    # Route 1: which clause shape matched.
-    if dot.is_zero:
-        syntactic = RootClass.IMAGINARY
-    elif shape_of(dot) is Shape.MIXED:
-        syntactic = RootClass.NONSINGULAR
-    else:
-        syntactic = RootClass.REAL
-
-    # Route 2: the form.  The radical of the span meets the root lattice in Z*delta.
-    if norm(v) != 0:
-        metric = RootClass.REAL
-    elif dot.is_zero:
-        metric = RootClass.IMAGINARY
-    else:
-        metric = RootClass.NONSINGULAR
-
-    if syntactic is not metric:
-        raise ClassificationBugError(
-            f"classification disagreement on {v}: clause says {syntactic}, "
-            f"form says {metric}"
-        )
-
-    if metric is RootClass.IMAGINARY:
-        return RootInfo(metric, None, Component.IMAGINARY_ONLY)
-    for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2)):
+    root_class = _root_class(dot)
+    if root_class is RootClass.IMAGINARY:
+        return _IMAGINARY_INFO
+    for i, comp in _EVEN_COMPONENTS:
         even = even_table(p, i).get(dot)
         if even is not None and v.dc in even:
-            if metric is RootClass.NONSINGULAR:
+            if root_class is RootClass.NONSINGULAR:
                 raise ClassificationBugError(f"nonsingular root {v} matched the even part")
-            return RootInfo(metric, Parity.EVEN, comp)
-    return RootInfo(metric, Parity.ODD, Component.ODD_PART)
+            return RootInfo(root_class, Parity.EVEN, comp)
+    return RootInfo(root_class, Parity.ODD, Component.ODD_PART)
+
+
+def classify_window(
+    p: AlgebraParams, mmax: int
+) -> list[tuple[RootVector, RootInfo | None]]:
+    """The roots of ``enumerate_window(p, mmax)``, in its order, each with what
+    ``classify`` returns for it (None for the zero root).  The class is decided
+    once per dot; parity and component come from the dot's two even-table
+    progressions."""
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
+    evens = [(even_table(p, i), comp) for i, comp in _EVEN_COMPONENTS]
+    out = []
+    for dot, prog in root_table(p).items():
+        window = prog.window(mmax)
+        root_class = _root_class(dot)
+        if root_class is RootClass.IMAGINARY:
+            out += [(dot.with_dc(m), None if m == 0 else _IMAGINARY_INFO) for m in window]
+            continue
+        odd = RootInfo(root_class, Parity.ODD, Component.ODD_PART)
+        even_infos = [(even, RootInfo(root_class, Parity.EVEN, comp))
+                      for table, comp in evens if (even := table.get(dot)) is not None]
+        for m in window:
+            for even, info in even_infos:
+                if m in even:
+                    if root_class is RootClass.NONSINGULAR:
+                        raise ClassificationBugError(
+                            f"nonsingular root {dot.with_dc(m)} matched the even part")
+                    break
+            else:
+                info = odd
+            out.append((dot.with_dc(m), info))
+    out.sort(key=lambda entry: entry[0].key())
+    return out
 
 
 def enumerate_window(p: AlgebraParams, mmax: int) -> list[RootVector]:
@@ -355,7 +404,7 @@ def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
     """For equal-length summands not exceeding their sum's length, the sum's
     coefficient set is contained in the sumset of the summands'."""
     v = Verdict()
-    dots = sorted(dot_roots_0(p, i))
+    dots = sorted(dot_roots_0(p, i), key=RootVector.key)
     nonzero = [d for d in dots if not d.is_zero]
     table = even_table(p, i)
     for a in nonzero:
@@ -378,7 +427,7 @@ def check_length_trichotomy(p: AlgebraParams, i: int) -> Verdict:
     one of the three length patterns: equal<sum, sum=short<long, all equal."""
     v = Verdict()
     dots = dot_roots_0(p, i)
-    nonzero = sorted(d for d in dots if not d.is_zero)
+    nonzero = sorted((d for d in dots if not d.is_zero), key=RootVector.key)
     for a in nonzero:
         for b in nonzero:
             c = a + b

@@ -157,7 +157,7 @@ class ShadowConfig:
 
     def to_json(self) -> dict:
         classes = []
-        for dot in sorted(self.states):
+        for dot in sorted(self.states, key=RootVector.key):
             state = self.states[dot]
             if state.is_hybrid:
                 prof = state.profile
@@ -211,7 +211,7 @@ def validate(cfg: ShadowConfig) -> Verdict:
              f"{len(cfg.states)} states for {len(classes)} classes")
     if not v.ok:
         return v
-    for dot in sorted(classes):
+    for dot in sorted(classes, key=RootVector.key):
         rep = canonical_rep(dot)
         if dot != rep:
             continue

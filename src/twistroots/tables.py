@@ -136,7 +136,7 @@ def expand_pattern(pat: Pattern, k: int, l: int) -> list[RootVector]:
                         out.append(RootVector(tuple(e), tuple(d), 0))
     else:  # pragma: no cover
         raise ValueError(f"unknown pattern {pat}")
-    return sorted(set(out))
+    return sorted(set(out), key=RootVector.key)
 
 
 def resolve_progression(token: str, p: AlgebraParams) -> ProgressionSet:

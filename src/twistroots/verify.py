@@ -34,8 +34,8 @@ from .rootsys import (
     check_ns_sum,
     check_sum_property,
     classify,
+    classify_window,
     component_empty,
-    dot_roots,
     dot_roots_0,
     enumerate_window,
     even_table,
@@ -102,7 +102,7 @@ def suite_tables(p: AlgebraParams) -> RunReport:
     t0 = time.time()
     v = Verdict()
     table = root_table(p)
-    for dot in sorted(table):
+    for dot in sorted(table, key=RootVector.key):
         if dot.is_zero:
             v.record(table[dot] == resolve_progression("Z", p),
                      "imaginary line is all of Z*delta", str(dot))
@@ -135,7 +135,7 @@ def suite_tables(p: AlgebraParams) -> RunReport:
         v.record(set(etab) == expected,
                  f"component {i} delta-free set matches its printed form",
                  f"{len(etab)} vs {len(expected)}")
-        for dot in sorted(etab):
+        for dot in sorted(etab, key=RootVector.key):
             if dot.is_zero:
                 continue
             token = S_EVEN_CLOSED[(shape_of(dot), i)][p.family]
@@ -153,9 +153,10 @@ def suite_tables(p: AlgebraParams) -> RunReport:
 
 
 def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) -> RunReport:
-    """Window coherence of the two classification routes, the window identity
-    of the shifted dot set, even-part containment, and (for small parameters)
-    agreement with the brute-force enumerator."""
+    """Window coherence of the two classification routes, agreement of the
+    per-delta-class window classification with ``classify``, the window
+    identity of the shifted dot set, even-part containment, and (for small
+    parameters) agreement with the brute-force enumerator."""
     t0 = time.time()
     v = Verdict()
     window = enumerate_window(p, mmax)
@@ -167,17 +168,23 @@ def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) 
     non_imaginary = {w for w in window if not w.dot_part().is_zero}
     v.record(covered == non_imaginary, "shifted dot set covers the window exactly",
              lambda: f"mmax={mmax}: differ on {sorted(covered ^ non_imaginary)}")
+    try:
+        window_info = dict(classify_window(p, mmax))
+    except ClassificationBugError:
+        window_info = {}  # the same disagreement is recorded per root below
     for root in window:
         if root.is_zero:
             continue
         try:
-            classify(p, root)
+            info = classify(p, root)
             bug = ""
         except ClassificationBugError as exc:
-            bug = str(exc)
+            info, bug = None, str(exc)
         v.record(not bug, "classification matches the form", bug)
-        v.record(root.dot_part() in dot_roots(p), "dot part is a dot root",
-                 lambda: f"{root}")
+        # A raise is recorded once, under the label above.
+        v.record(bool(bug) or window_info.get(root) == info,
+                 "window classification agrees with classify",
+                 lambda: f"{root}: window says {window_info.get(root)}, classify says {info}")
     for i in (1, 2):
         for dot, prog in even_table(p, i).items():
             for m in prog.window(mmax):

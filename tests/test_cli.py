@@ -3,15 +3,20 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import twistroots
+from twistroots import cli
 from twistroots.cli import main
+from twistroots.families import AffineFamily, AlgebraParams
+from twistroots.sampling import random_tight_config
 
 RUN = [sys.executable, "-m", "twistroots.cli"]
 # The child process imports the same package as the tests, also when pytest
@@ -304,3 +309,48 @@ def test_malformed_input_gives_one_error_line(tmp_path, case):
     assert out.stdout == ""
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+def test_classify_non_root_is_a_negative_answer():
+    # Not a root: the answer is {"is_root": false} with exit 1, like a failed
+    # check, and not an input error (no error line on stderr).
+    root = {"eps": [0], "del": [3], "dc": 0}
+    rc, out, err = _main_inprocess(["classify", "--family", "a-even-2", "--k", "1",
+                                    "--l", "1", "--root", json.dumps(root)])
+    assert (rc, err) == (1, "")
+    assert out == json.dumps({"root": root, "is_root": False}, indent=2, sort_keys=True) + "\n"
+    rc, out, _ = _main_inprocess(["classify", "--help"])
+    assert rc == 0
+    assert '{"is_root": false} and exit status 1' in " ".join(out.split())
+
+
+def _readme_commands(tmp_path):
+    """The argv of every example in the README's CLI section, with its input
+    files written to tmp_path and any shell redirection dropped."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
+    cfg, _ = random_tight_config(p, Random(7))
+    files = {"cfg.json": cfg.to_json(), "zeta.json": {"eps": ["2"], "del": ["1"], "delta": "0"}}
+    for name, doc in files.items():
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("twistroots "):
+            argv = shlex.split(line)[1:]
+            argv = argv[:argv.index(">")] if ">" in argv else argv
+            commands.append([str(tmp_path / a) if a in files else a for a in argv])
+    return commands
+
+
+def _stdlib_json_text(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_readme_examples_print_what_the_stdlib_encoder_prints(tmp_path, monkeypatch):
+    commands = _readme_commands(tmp_path)
+    assert len(commands) == 9
+    ours = [_main_inprocess(argv)[:2] for argv in commands]
+    monkeypatch.setattr(cli, "json_text", _stdlib_json_text)
+    assert ours == [_main_inprocess(argv)[:2] for argv in commands]

@@ -8,7 +8,7 @@ from twistroots.families import AffineFamily, AlgebraParams, InvalidParamsError,
 from twistroots.lattice import RootVector, del_unit, delta_vec, eps_unit, norm, zero_vec
 from twistroots.progressions import ProgressionSet
 from twistroots import rootsys as rs
-from twistroots.tables import REAL_SHAPES, Shape, shape_of
+from twistroots.tables import REAL_SHAPES, Pattern, Shape, expand_pattern, shape_of
 
 Z = ProgressionSet.integers()
 Z2 = ProgressionSet.single(2, 0)
@@ -99,6 +99,24 @@ def test_enumerate_window_key_order_is_the_vector_order():
         for mmax in range(5):
             w = rs.enumerate_window(p, mmax)
             assert w == sorted(w), (p, mmax)
+
+
+def _dot_sets(p):
+    yield "root table", rs.root_table(p)
+    for i in (1, 2):
+        yield f"even table {i}", rs.even_table(p, i)
+    yield "real dots", rs.real_dot_roots(p)
+    yield "nonsingular dots", rs.ns_dot_roots(p)
+    for pat in Pattern:
+        yield pat.value, expand_pattern(pat, p.k, p.l)
+    yield "window", rs.enumerate_window(p, 4)
+
+
+@pytest.mark.parametrize("p", valid_params(3, 3), ids=lambda p: p.describe())
+def test_key_sort_is_the_vector_order_on_dot_sets(p):
+    # The library sorts dot sets with key=RootVector.key instead of __lt__.
+    for name, dots in _dot_sets(p):
+        assert sorted(dots, key=RootVector.key) == sorted(dots), name
 
 
 def brute_force_window(p, mmax):
@@ -251,3 +269,50 @@ def test_even_component_real_dots_have_uniform_shape_side():
         for dot in rs.dot_roots_0(p, 2):
             if not dot.is_zero:
                 assert not any(dot.dels)
+
+
+@pytest.mark.parametrize("mmax", [0, 1, 4, 8])
+def test_classify_window_matches_classify(mmax):
+    for p in valid_params(3, 3):
+        entries = rs.classify_window(p, mmax)
+        assert [v for v, _ in entries] == rs.enumerate_window(p, mmax), (p, mmax)
+        for v, info in entries:
+            if v.is_zero:
+                assert info is None
+            else:
+                assert info == rs.classify(p, v), (p, v)
+
+
+def test_classify_window_decides_the_class_once_per_dot(monkeypatch):
+    p = P(AffineFamily.A_4, 2, 2)
+    calls = []
+    root_class = rs._root_class
+
+    def spy(dot):
+        calls.append(dot)
+        return root_class(dot)
+
+    monkeypatch.setattr(rs, "_root_class", spy)
+    entries = rs.classify_window(p, 8)
+    dots = {v.dot_part() for v, _ in entries}
+    assert sorted(calls) == sorted(dots) and len(entries) > len(dots)
+
+
+def test_classify_window_rejects_negative_mmax():
+    with pytest.raises(ValueError):
+        rs.classify_window(P(AffineFamily.D_2, 1, 1), -1)
+
+
+def test_classify_window_raises_on_route_disagreement(monkeypatch):
+    p = P(AffineFamily.A_EVEN_2, 1, 1)
+    rs.classify_window(p, 2)  # build the tables before the shape route is broken
+
+    def wrong_shape(dot):  # every nonzero dot reads as nonsingular
+        return Shape.MIXED
+
+    # rootsys binds tables.shape_of under its own name; patch that binding.
+    monkeypatch.setattr(rs, "shape_of", wrong_shape)
+    with pytest.raises(rs.ClassificationBugError):
+        rs.classify_window(p, 2)
+    with pytest.raises(rs.ClassificationBugError):
+        rs.classify(p, eps_unit(1, 1, 1))

@@ -1,11 +1,13 @@
 """Verification suites: determinism and end-to-end passes on small batches."""
 
+from dataclasses import replace
+
 import pytest
 
 from twistroots import verify
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.reporting import Failure, Verdict
-from twistroots.rootsys import ClassificationBugError
+from twistroots.rootsys import ClassificationBugError, Parity
 from twistroots.verify import run_all, suite_classification, suite_shadow_pipeline
 
 WINDOW_IDENTITY = "shifted dot set covers the window exactly"
@@ -93,3 +95,25 @@ def test_classification_bug_is_recorded_not_raised(monkeypatch):
     assert rep.checks == clean.checks
     assert rep.failures == [Failure("classification matches the form",
                                     f"classification disagreement on {raised[0]}")]
+
+
+def test_window_classification_agreement_is_live(monkeypatch):
+    p = AlgebraParams(AffineFamily.A_4, 1, 1)
+    clean = suite_classification(p, 2)
+    classify_window = verify.classify_window
+    wrong = []
+
+    def one_wrong(p, mmax):
+        entries = classify_window(p, mmax)
+        idx = next(i for i, (root, info) in enumerate(entries)
+                   if info is not None and info.parity is Parity.EVEN)
+        root, info = entries[idx]
+        wrong.append(root)
+        entries[idx] = (root, replace(info, parity=Parity.ODD))
+        return entries
+
+    monkeypatch.setattr(verify, "classify_window", one_wrong)
+    rep = suite_classification(p, 2)
+    assert rep.checks == clean.checks
+    assert [f.check for f in rep.failures] == ["window classification agrees with classify"]
+    assert str(wrong[0]) in rep.failures[0].witness
