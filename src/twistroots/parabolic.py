@@ -10,8 +10,9 @@ indecomposables, and nonnegative integral decompositions over them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 
@@ -261,6 +262,51 @@ def check_positivity_alignment(cfg: ShadowConfig, zeta: Functional, mmax: int = 
 # --- the generator set of the positive slice --------------------------------------
 
 
+# One params at a time: callers walk the params one by one, and a run of cold
+# queries over many params should not keep every slice alive.
+@lru_cache(maxsize=1)
+def _shifted(
+    p: AlgebraParams,
+) -> tuple[tuple[RootVector, ...], tuple[RootVector, ...], dict[RootVector, int]]:
+    """``shifted_full``, its real part ``shifted_real``, and a linear integer
+    code for each element of ``shifted_real``; built once per params.
+
+    The code of v is the sum of its eps, del and dc coordinates c_i times
+    2^(w*i), with 2^w above four times the largest coordinate of the slice.
+    A signed sum of at most four slice elements then has code 0 only when it
+    is 0 (read the code modulo 2^w, one coordinate at a time), so
+    code(v) - code(a) == code(b) exactly when v - a == b.
+    """
+    inv = r_invariants(p)
+    full = tuple(
+        dot.with_dc(res)
+        for dot in sorted(inv.per_dot, key=RootVector.key)
+        for res in inv.per_dot[dot].residues_mod_global
+    )
+    real = tuple(v for v in full if shape_of(v.dot_part()) in REAL_SHAPES)
+    coords = [v.eps + v.dels + (v.dc,) for v in real]
+    w = (4 * max((abs(c) for cs in coords for c in cs), default=0)).bit_length()
+    codes = {v: sum(c << (w * i) for i, c in enumerate(cs)) for v, cs in zip(real, coords)}
+    return full, real, codes
+
+
+def _split_witness(
+    code: int, by_code: dict[int, RootVector]
+) -> tuple[RootVector, RootVector] | None:
+    """The split (a, v - a) of the positive element v with this code, for the
+    first a in slice order that leaves v - a positive, or None when v is
+    indecomposable.
+
+    ``by_code`` maps the code of each positive element to the element, in
+    slice order, so v - a lies in the positive slice exactly when
+    code - code(a) is a key, and both parts are returned as slice objects."""
+    for ca, a in by_code.items():
+        b = by_code.get(code - ca)
+        if b is not None:
+            return a, b
+    return None
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """Residue-shifted dot roots and the indecomposable generators of the
@@ -270,7 +316,7 @@ class GeneratorSet:
     nonzero dots; the two variants differ exactly on the nonsingular shapes and
     both are kept (the window identity is stated for the full variant and
     checked by the classification suite, the generator combinatorics for the
-    real one).
+    real one).  ``generators`` is derived from ``positive``.
     """
 
     params: AlgebraParams
@@ -279,28 +325,27 @@ class GeneratorSet:
     shifted_real: tuple[RootVector, ...]
     shifted_full: tuple[RootVector, ...]
     positive: tuple[RootVector, ...]
-    generators: tuple[RootVector, ...]
+    generators: tuple[RootVector, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        # A plain attribute, not a field, like Functional._den: the first split
+        # of each positive element (None for a generator), in slice order,
+        # found over the integer codes of the positive slice.
+        codes = _shifted(self.params)[2]
+        by_code = {codes[v]: v for v in self.positive}
+        splits = {v: _split_witness(c, by_code) for c, v in by_code.items()}
+        object.__setattr__(self, "_splits", splits)
+        object.__setattr__(
+            self, "generators", tuple(v for v, split in splits.items() if split is None)
+        )
 
 
-def _split_witness(
-    v: RootVector, positive: tuple[RootVector, ...], pos_set: set[RootVector]
-) -> RootVector | None:
-    """The first a of the positive slice with v - a also in it, or None when v
-    is indecomposable."""
-    return next((a for a in positive if (v - a) in pos_set), None)
-
-
-def shifted_full(p: AlgebraParams) -> list[RootVector]:
+def shifted_full(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Every nonzero dot shifted by each of its residues modulo the global
     modulus, in dot order.  Steps of the global modulus from this set reach
     every nonzero non-imaginary root and nothing else; the classification
     suite checks that window identity once per params."""
-    inv = r_invariants(p)
-    return [
-        dot.with_dc(res)
-        for dot in sorted(inv.per_dot, key=RootVector.key)
-        for res in inv.per_dot[dot].residues_mod_global
-    ]
+    return _shifted(p)[0]
 
 
 def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> GeneratorSet:
@@ -309,13 +354,9 @@ def generator_set(p: AlgebraParams, zeta: Functional, mmax: int = 8) -> Generato
     ``mmax`` does not change the result."""
     if zeta.delta != 0:
         raise ValueError("the functional must vanish on delta")
-    full = shifted_full(p)
-    shifted_real = [v for v in full if shape_of(v.dot_part()) in REAL_SHAPES]
-    positive = tuple(v for v in shifted_real if zeta.evaluate(v) > 0)
-    pos_set = set(positive)
-    generators = tuple(v for v in positive if _split_witness(v, positive, pos_set) is None)
-    r = r_invariants(p).global_modulus
-    return GeneratorSet(p, zeta, r, tuple(shifted_real), tuple(full), positive, generators)
+    full, real, _ = _shifted(p)
+    positive = tuple(v for v in real if zeta.evaluate(v) > 0)
+    return GeneratorSet(p, zeta, r_invariants(p).global_modulus, real, full, positive)
 
 
 def decompose_over_generators(
@@ -331,20 +372,18 @@ def decompose_over_generators(
     have a strictly smaller functional value, so on the finite slice the
     splitting stops, and the result is deterministic.
     """
-    positive = gens.positive
-    pos_set = set(positive)
-    if target not in pos_set:
+    splits = gens._splits
+    if target not in splits:
         raise ValueError(f"{target} is not in the positive slice")
-    generators = set(gens.generators)
     out: dict[RootVector, int] = {}
     stack = [target]
     while stack:
         v = stack.pop()
-        a = None if v in generators else _split_witness(v, positive, pos_set)
-        if a is None:
+        split = splits[v]
+        if split is None:
             out[v] = out.get(v, 0) + 1
         else:
-            stack += (a, v - a)
+            stack += split
     total = None
     for g, c in out.items():
         total = g.scale(c) if total is None else total + g.scale(c)

@@ -535,6 +535,7 @@ def check_double_odd(p: AlgebraParams, mmax: int) -> Verdict:
     return v
 
 
+@lru_cache(maxsize=None)
 def doubling_pairs(p: AlgebraParams) -> tuple[tuple[RootVector, RootVector], ...]:
     """Pairs (dot, 2*dot) of real dots where the dot's class contains an odd root
     and the double is again a dot root; these drive the doubling rules."""

@@ -145,10 +145,12 @@ class ShadowConfig:
                     raise ConfigError(
                         f"hybrid classes {dot} and {-dot} carry different profiles"
                     )
-        missing = [d for d in real_dot_roots(params) if d not in states]
+        real = real_dot_roots(params)
+        missing = [d for d in real if d not in states]
         if missing:
             raise ConfigError(f"no state for class {missing[0]} (and {len(missing) - 1} more)")
-        extra = [d for d in states if d not in set(real_dot_roots(params))]
+        real_set = set(real)
+        extra = [d for d in states if d not in real_set]
         if extra:
             raise ConfigError(f"state assigned to non-class vector {extra[0]}")
         return cls(params, states)

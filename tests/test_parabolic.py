@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 from itertools import product
+from operator import sub
 from random import Random
 
 import pytest
@@ -11,7 +12,7 @@ from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.fm import feasible_point
 from twistroots.lattice import RootVector, del_unit, delta_vec, eps_unit, zero_vec
 from twistroots.progressions import ProgressionSet
-from twistroots import rootsys as rs
+from twistroots import parabolic, rootsys as rs
 from twistroots.parabolic import (
     DotParabolic,
     Functional,
@@ -308,6 +309,88 @@ def test_positivity_alignment_fails_for_zero_functional_with_full_ln():
 def brute_indecomposables(positive):
     pos = set(positive)
     return {v for v in pos if not any((v - a) in pos for a in pos)}
+
+
+def brute_split_witness(v, positive, pos_set):
+    """The subtraction scan that the integer codes replace, kept as their oracle:
+    the first a of the slice with v - a in the slice."""
+    return next((a for a in positive if (v - a) in pos_set), None)
+
+
+def brute_decompose(target, positive):
+    """Splitting along ``brute_split_witness`` until only indecomposables remain."""
+    pos_set = set(positive)
+    out = {}
+    stack = [target]
+    while stack:
+        v = stack.pop()
+        a = brute_split_witness(v, positive, pos_set)
+        if a is None:
+            out[v] = out.get(v, 0) + 1
+        else:
+            stack += (a, v - a)
+    return out
+
+
+def _flat(v):
+    return v.eps + v.dels + (v.dc,)
+
+
+def test_code_split_matches_the_subtraction_scan():
+    for p in valid_params(3, 3):
+        rng = Random(7)
+        for _ in range(6):
+            gens = generator_set(p, random_functional(p, rng))
+            positive, pos_set = gens.positive, set(gens.positive)
+            assert set(gens.generators) == brute_indecomposables(positive), p
+            assert gens.generators == tuple(
+                v for v in positive if brute_split_witness(v, positive, pos_set) is None)
+            for target in positive:
+                coeffs = decompose_over_generators(target, gens)
+                want = brute_decompose(target, positive)
+                assert list(coeffs.items()) == list(want.items()), (p, target)
+
+
+def test_slice_codes_are_injective_on_differences():
+    for p in valid_params(3, 3):
+        full, real, codes = parabolic._shifted(p)
+        assert parabolic.shifted_full(p) is full and list(codes) == list(real)
+        coded = [(_flat(v), codes[v]) for v in real]
+        seen = {}
+        for x, cx in coded:
+            for y, cy in coded:
+                d = tuple(map(sub, x, y))
+                assert seen.setdefault(cx - cy, d) == d, (p, d)
+
+
+def test_decompose_decides_membership_on_the_vector_not_its_code():
+    p = P(AffineFamily.A_EVEN_2, 2, 2)
+    gens = generator_set(p, random_functional(p, Random(7)))
+    _, real, codes = parabolic._shifted(p)
+    w = (4 * max(abs(c) for v in real for c in _flat(v))).bit_length()
+
+    def code(u):
+        return sum(c << (w * i) for i, c in enumerate(_flat(u)))
+
+    assert all(code(u) == codes[u] for u in real)
+    v = gens.positive[0]
+    off = v + eps_unit(2, 2, 1, 2**w) - eps_unit(2, 2, 2)
+    assert off not in real and code(off) == code(v)
+    with pytest.raises(ValueError, match="not in the positive slice"):
+        decompose_over_generators(off, gens)
+
+
+def test_generator_search_makes_no_vector_subtraction(monkeypatch):
+    p = P(AffineFamily.D_2, 3, 3)
+    zeta = random_functional(p, Random(7))
+
+    def no_sub(self, other):
+        raise AssertionError("RootVector subtraction")
+
+    monkeypatch.setattr(RootVector, "__sub__", no_sub)
+    gens = generator_set(p, zeta)
+    for target in gens.positive:
+        decompose_over_generators(target, gens)
 
 
 def test_generator_worked_example():

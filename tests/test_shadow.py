@@ -1,5 +1,6 @@
 """Shadow configurations: states, membership splits, validity, parabolic set."""
 
+import re
 from dataclasses import FrozenInstanceError
 from random import Random
 
@@ -323,6 +324,29 @@ def test_json_roundtrip_and_inference():
     incomplete.pop(d1)
     with pytest.raises(ConfigError):
         ShadowConfig.from_assignments(p, incomplete)
+
+
+def test_from_assignments_reads_the_real_dots_once(monkeypatch):
+    import twistroots.shadow as shadow
+
+    p = P(AffineFamily.D_2, 2, 2)
+    states = {d: FULL_LN for d in rs.real_dot_roots(p)}
+    calls = []
+
+    def spy(params):
+        calls.append(params)
+        return rs.real_dot_roots(params)
+
+    monkeypatch.setattr(shadow, "real_dot_roots", spy)
+    assert ShadowConfig.from_assignments(p, states).states == states
+    assert calls == [p]
+    outsider = delta_vec(2, 2)
+    message = re.escape(f"state assigned to non-class vector {outsider}")
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        ShadowConfig.from_assignments(p, {**states, outsider: FULL_LN})
+    first = next(iter(states))
+    with pytest.raises(ConfigError, match=r"^no state for class .* \(and 0 more\)$"):
+        ShadowConfig.from_assignments(p, {d: s for d, s in states.items() if d != first})
 
 
 def test_shadow_config_is_frozen():

@@ -221,3 +221,5 @@ def test_doubling_pairs():
     assert eps_unit(1, 1, 1) in pairs and del_unit(1, 1, 1) in pairs
     # No odd real classes at all in the odd-A family.
     assert rs.doubling_pairs(P(AffineFamily.A_ODD_2, 2, 2)) == ()
+    # Cached per params, like the tables it reads.
+    assert rs.doubling_pairs(p) is rs.doubling_pairs(P(AffineFamily.A_4, 1, 1))
