@@ -3,9 +3,13 @@
 Subcommands map one-to-one onto library operations: table emission,
 classification queries, exhaustive verification suites, shadow-config
 validation and parabolic synthesis.  Output is deterministic for fixed flags
-and seed (machine output on stdout or --out; human summaries on stderr), and
-the exit status is 0 exactly when no check failed (`classify` exits 1 on a
-vector that is not a root, a negative answer rather than an input error).
+and seed (machine output on stdout or --out; human summaries on stderr).
+
+Exit status:
+  0  every check passed;
+  1  a check failed, `classify` gave its negative answer (the vector is not a
+     root), or an input was refused with one `error:` line on stderr;
+  2  an argparse usage error, or no command.
 
 CSV columns: `roots` emits eps,del,dc,class,parity,component with coordinate
 lists space-separated; `tables` emits table,dot_eps,dot_del,mod,residues.
@@ -148,10 +152,6 @@ def _info_fields(info: RootInfo | None) -> tuple[str, str, str]:
     return (info.root_class.value, parity, info.component.value)
 
 
-def _classify_fields(p: AlgebraParams, v: RootVector) -> tuple[str, str, str]:
-    return _info_fields(None if v.is_zero else classify(p, v))
-
-
 # --- subcommand handlers -------------------------------------------------------
 
 
@@ -172,22 +172,19 @@ def _cmd_roots(args) -> int:
             ],
         }
         _emit(args, json_text(doc))
-    elif args.format == "csv":
+        return 0
+    rows = [
+        (" ".join(map(str, v.eps)), " ".join(map(str, v.dels)), str(v.dc),
+         cls, parity, comp)
+        for v, cls, parity, comp in entries
+    ]
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["eps", "del", "dc", "class", "parity", "component"])
-        for v, cls, parity, comp in entries:
-            writer.writerow(
-                [" ".join(map(str, v.eps)), " ".join(map(str, v.dels)), v.dc,
-                 cls, parity, comp]
-            )
+        writer.writerows(rows)
         _emit(args, buf.getvalue())
     else:
-        rows = [
-            (" ".join(map(str, v.eps)), " ".join(map(str, v.dels)), str(v.dc),
-             cls, parity, comp)
-            for v, cls, parity, comp in entries
-        ]
         _emit(args, roots_tex(p, rows))
     return 0
 
@@ -198,7 +195,7 @@ def _cmd_classify(args) -> int:
     if not is_root(p, v):
         _emit(args, json_text({"root": v.to_json(), "is_root": False}))
         return 1
-    cls, parity, comp = _classify_fields(p, v)
+    cls, parity, comp = _info_fields(None if v.is_zero else classify(p, v))
     _emit(args, json_text({
         "root": v.to_json(), "is_root": True,
         "class": cls, "parity": parity, "component": comp,
@@ -380,8 +377,9 @@ def _cmd_parabolic_synth(args) -> int:
             "functional": zeta_i.to_json(),
         }
         functionals.append(zeta_i)
-    z1, z2 = functionals
-    combined = combine_functionals(z1, z2) if z1 is not None else z2
+    # component 1 is never empty (it holds the zero dot), so only the second
+    # functional can be None
+    combined = combine_functionals(*functionals)
     doc = {
         "components": components,
         "combined": combined.to_json(),

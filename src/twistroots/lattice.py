@@ -103,11 +103,15 @@ class RootVector:
 
     @staticmethod
     def from_json(doc: dict) -> RootVector:
-        return RootVector(
-            tuple(int(c) for c in doc["eps"]),
-            tuple(int(c) for c in doc["del"]),
-            int(doc["dc"]),
-        )
+        """Read ``to_json``'s encoding.  Coordinates must be JSON integers:
+        a float, a string or a boolean is refused, not converted."""
+        eps, dels, dc = doc["eps"], doc["del"], doc["dc"]
+        for name, coords in (("eps", eps), ("del", dels)):
+            if not isinstance(coords, list) or not all(type(c) is int for c in coords):
+                raise TypeError(f"{name} must be a list of integers, got {coords!r}")
+        if type(dc) is not int:
+            raise TypeError(f"dc must be an integer, got {dc!r}")
+        return RootVector(tuple(eps), tuple(dels), dc)
 
 
 def zero_vec(k: int, l: int) -> RootVector:

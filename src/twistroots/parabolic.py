@@ -87,10 +87,18 @@ class Functional:
 
     @staticmethod
     def from_json(doc: dict) -> Functional:
+        """Read ``to_json``'s encoding.  A coefficient is a JSON integer or a
+        string such as "-3/4"; a float or a boolean is refused, since a binary
+        float would not be the rational the document shows."""
+        eps, dels, delta = doc["eps"], doc["del"], doc.get("delta", 0)
+        for name, coeffs in (("eps", eps), ("del", dels)):
+            if not isinstance(coeffs, list):
+                raise TypeError(f"{name} must be a list of coefficients, got {coeffs!r}")
+        for c in (*eps, *dels, delta):
+            if type(c) not in (int, str):
+                raise TypeError(f"a coefficient must be an integer or a string, got {c!r}")
         return Functional(
-            tuple(Fraction(c) for c in doc["eps"]),
-            tuple(Fraction(c) for c in doc["del"]),
-            Fraction(doc.get("delta", 0)),
+            tuple(map(Fraction, eps)), tuple(map(Fraction, dels)), Fraction(delta)
         )
 
     @staticmethod

@@ -16,7 +16,7 @@ two signs):
              on -rho: dc <= -t-m -> in, dc >= 1-t-m   -> ln
 
 Boundary membership is taken exactly at these bounds; the two halves partition
-the class, so member_ln and member_in are complementary on real roots.
+the class, so member_ln is the complement of member_in on real roots.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .rootsys import (
     real_dot_roots,
     root_table,
 )
-from .tables import REAL_SHAPES, shape_of
 
 
 class ConfigError(ValueError):
@@ -190,7 +189,10 @@ class ShadowConfig:
             elif isinstance(enc, dict) and "hybrid" in enc:
                 h = enc["hybrid"]
                 try:
-                    state = hybrid(Case(h["case"]), int(h["m"]), int(h["t"]))
+                    m, t = h["m"], h["t"]
+                    if type(m) is not int or type(t) is not int:
+                        raise TypeError(f"m and t must be integers, got {m!r} and {t!r}")
+                    state = hybrid(Case(h["case"]), m, t)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: bad hybrid profile: {exc}") from exc
             else:
@@ -255,13 +257,6 @@ def _hybrid_in(profile: HybridProfile, on_canonical: bool, d: int) -> bool:
     return d <= m - 1 if on_canonical else d <= -t - m
 
 
-def _hybrid_ln(profile: HybridProfile, on_canonical: bool, d: int) -> bool:
-    m, t = profile.m, profile.t
-    if profile.case is Case.III:
-        return d <= m if on_canonical else d <= t - 1 - m
-    return d >= m if on_canonical else d >= 1 - t - m
-
-
 def member_in(cfg: ShadowConfig, v: RootVector) -> bool:
     """Whether the real root v lies in the injective part under this config."""
     dot = _require_real(cfg, v)
@@ -275,13 +270,7 @@ def member_in(cfg: ShadowConfig, v: RootVector) -> bool:
 
 def member_ln(cfg: ShadowConfig, v: RootVector) -> bool:
     """Whether the real root v lies in the locally nilpotent part."""
-    dot = _require_real(cfg, v)
-    state = cfg.states[dot]
-    if state.kind is StateKind.FULL_LN:
-        return True
-    if state.kind is StateKind.FULL_IN:
-        return False
-    return _hybrid_ln(state.profile, dot == canonical_rep(dot), v.dc)
+    return not member_in(cfg, v)
 
 
 def is_hybrid_module(cfg: ShadowConfig) -> bool:
@@ -357,6 +346,7 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     pset = ParabolicSet(cfg)
     table = root_table(p)
     real_dots = real_dot_roots(p)
+    real_set = set(real_dots)
 
     for dot in real_dots:
         v.record(
@@ -371,14 +361,11 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     for idx, a in enumerate(member_dots):
         for b in member_dots[idx:]:
             c = a + b
-            prog = table.get(c)
-            if prog is None:
+            if c not in real_set:
+                # sums into the imaginary line stay in the set; nonsingular
+                # sums and non-roots lie outside the real+imaginary part
                 continue
-            if c.is_zero:
-                continue  # sums into the imaginary line stay in the set
-            if shape_of(c) not in REAL_SHAPES:
-                continue  # nonsingular sums are outside the real+imaginary part
-            wit = table[a].sum_witness(table[b], prog)
+            wit = table[a].sum_witness(table[b], table[c])
             if wit is None:
                 continue
             m, n = wit

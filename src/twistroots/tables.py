@@ -13,6 +13,7 @@ even-part imaginary rows: 2Z when l == 1 (resp. k == 1), otherwise Z.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations, combinations_with_replacement, product
 
 from .families import AffineFamily, AlgebraParams
 from .lattice import RootVector, zero_vec
@@ -79,63 +80,47 @@ REAL_SHAPES = frozenset(
 )
 
 
+# The kind of each pattern that lies on one side: the eps or the del coordinates.
+_EPS_SIDE = {Pattern.PM_EPS: "single", Pattern.PM_2EPS: "double",
+             Pattern.EPS_PM_EPS: "pair", Pattern.EPS_PM_EPS_FULL: "pair_full"}
+_DEL_SIDE = {Pattern.PM_DEL: "single", Pattern.PM_2DEL: "double",
+             Pattern.DEL_PM_DEL: "pair", Pattern.DEL_PM_DEL_FULL: "pair_full"}
+
+
+def _side(kind: str, n: int) -> list[tuple[int, ...]]:
+    """The nonzero coordinate tuples of one side of length n: a sum of +-1 at
+    each index of an index tuple, over all signs.  A "double" index tuple
+    (i, i) gives +-2 at i; "pair_full" allows both pair indices equal."""
+    if kind == "single":
+        index_tuples = [(i,) for i in range(n)]
+    elif kind == "double":
+        index_tuples = [(i, i) for i in range(n)]
+    elif kind == "pair":
+        index_tuples = combinations(range(n), 2)
+    else:
+        index_tuples = combinations_with_replacement(range(n), 2)
+    out = []
+    for idx in index_tuples:
+        for signs in product((1, -1), repeat=len(idx)):
+            c = [0] * n
+            for i, s in zip(idx, signs):
+                c[i] += s
+            if any(c):
+                out.append(tuple(c))
+    return out
+
+
 def expand_pattern(pat: Pattern, k: int, l: int) -> list[RootVector]:
     """All dot vectors matching the pattern in the (k, l) ambient (zero excluded,
     except for IMAGINARY whose single dot is the zero vector)."""
-    out: list[RootVector] = []
     if pat is Pattern.IMAGINARY:
         return [zero_vec(k, l)]
-
-    def eps_at(pairs: list[tuple[int, int]]) -> RootVector:
-        e = [0] * k
-        for i, c in pairs:
-            e[i] += c
-        return RootVector(tuple(e), (0,) * l, 0)
-
-    def del_at(pairs: list[tuple[int, int]]) -> RootVector:
-        d = [0] * l
-        for j, c in pairs:
-            d[j] += c
-        return RootVector((0,) * k, tuple(d), 0)
-
-    if pat is Pattern.PM_EPS:
-        out = [eps_at([(i, s)]) for i in range(k) for s in (1, -1)]
-    elif pat is Pattern.PM_2EPS:
-        out = [eps_at([(i, 2 * s)]) for i in range(k) for s in (1, -1)]
-    elif pat in (Pattern.EPS_PM_EPS, Pattern.EPS_PM_EPS_FULL):
-        lo_equal = pat is Pattern.EPS_PM_EPS_FULL
-        for i in range(k):
-            for r in range(i if lo_equal else i + 1, k):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        v = eps_at([(i, s1), (r, s2)])
-                        if not v.is_zero:
-                            out.append(v)
-    elif pat is Pattern.PM_DEL:
-        out = [del_at([(j, s)]) for j in range(l) for s in (1, -1)]
-    elif pat is Pattern.PM_2DEL:
-        out = [del_at([(j, 2 * s)]) for j in range(l) for s in (1, -1)]
-    elif pat in (Pattern.DEL_PM_DEL, Pattern.DEL_PM_DEL_FULL):
-        lo_equal = pat is Pattern.DEL_PM_DEL_FULL
-        for j in range(l):
-            for s in range(j if lo_equal else j + 1, l):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        v = del_at([(j, s1), (s, s2)])
-                        if not v.is_zero:
-                            out.append(v)
-    elif pat is Pattern.EPS_PM_DEL:
-        for i in range(k):
-            for j in range(l):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        e = [0] * k
-                        d = [0] * l
-                        e[i] = s1
-                        d[j] = s2
-                        out.append(RootVector(tuple(e), tuple(d), 0))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown pattern {pat}")
+    if pat in _EPS_SIDE:
+        out = [RootVector(e, (0,) * l, 0) for e in _side(_EPS_SIDE[pat], k)]
+    elif pat in _DEL_SIDE:
+        out = [RootVector((0,) * k, d, 0) for d in _side(_DEL_SIDE[pat], l)]
+    else:  # EPS_PM_DEL: one single on each side
+        out = [RootVector(e, d, 0) for e in _side("single", k) for d in _side("single", l)]
     return sorted(set(out), key=RootVector.key)
 
 
@@ -201,7 +186,8 @@ DOT_PATTERNS: dict[AffineFamily, tuple[Pattern, ...]] = {
 }
 
 # Per-shape closed forms for the delta-coefficient sets of the whole root set.
-# None marks shapes that are not dot roots of the family.
+# None marks shapes that are not dot roots of the family.  The key order is
+# the row order of the TeX table.
 S_CLOSED: dict[Shape, dict[AffineFamily, str | None]] = {
     Shape.EPS_SINGLE: {AffineFamily.A_EVEN_2: "Z", AffineFamily.A_ODD_2: None,
                        AffineFamily.A_4: "Z", AffineFamily.D_2: "Z"},
@@ -268,7 +254,7 @@ DOT_PATTERNS_EVEN: dict[AffineFamily, dict[int, tuple[Pattern, ...]]] = {
                        2: (Pattern.PM_EPS, Pattern.EPS_PM_EPS)},
 }
 
-# Per-shape closed forms for the even components.
+# Per-shape closed forms for the even components, in TeX row order.
 S_EVEN_CLOSED: dict[tuple[Shape, int], dict[AffineFamily, str | None]] = {
     (Shape.DEL_SINGLE, 1): {AffineFamily.A_EVEN_2: None, AffineFamily.A_ODD_2: None,
                             AffineFamily.A_4: "2Z+1", AffineFamily.D_2: None},

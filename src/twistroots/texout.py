@@ -45,25 +45,6 @@ _SHAPE_TEX = {
     Shape.MIXED: r"S_{\pm\varepsilon_i\pm\delta_j}",
 }
 
-_SHAPE_ROWS = (
-    Shape.EPS_SINGLE,
-    Shape.EPS_PAIR,
-    Shape.EPS_DOUBLE,
-    Shape.DEL_SINGLE,
-    Shape.DEL_PAIR,
-    Shape.DEL_DOUBLE,
-    Shape.MIXED,
-)
-
-_EVEN_SHAPE_ROWS = (
-    (Shape.DEL_SINGLE, 1),
-    (Shape.DEL_PAIR, 1),
-    (Shape.DEL_DOUBLE, 1),
-    (Shape.EPS_SINGLE, 2),
-    (Shape.EPS_PAIR, 2),
-    (Shape.EPS_DOUBLE, 2),
-)
-
 
 def _clause_tex(p: AlgebraParams, token: str, pats: tuple[Pattern, ...]) -> str:
     prog = resolve_progression(token, p).tex()
@@ -96,8 +77,8 @@ def tables_tex(p: AlgebraParams) -> str:
     root_rows = [("$R$", f"${_clause_tex(p, tok, pats)}$")
                  for tok, pats in ROOT_CLAUSES[fam]]
     dot_row = ",\\ ".join(_PATTERN_TEX[pt] for pt in DOT_PATTERNS[fam])
-    s_rows = [(f"${_SHAPE_TEX[shape]}$", _prog_tex(S_CLOSED[shape][fam], p))
-              for shape in _SHAPE_ROWS]
+    s_rows = [(f"${_SHAPE_TEX[shape]}$", _prog_tex(forms[fam], p))
+              for shape, forms in S_CLOSED.items()]
 
     even_rows = []
     for i in (1, 2):
@@ -113,8 +94,8 @@ def tables_tex(p: AlgebraParams) -> str:
         else:
             syms = ",\\ ".join(_PATTERN_TEX[pt] for pt in DOT_PATTERNS_EVEN[fam][i])
             dot0_rows.append((f"$\\dot R_0({i})$", f"$\\pm\\{{{syms}\\}}$"))
-    s0_rows = [(f"${_SHAPE_TEX[shape]}({i})$", _prog_tex(S_EVEN_CLOSED[(shape, i)][fam], p))
-               for shape, i in _EVEN_SHAPE_ROWS]
+    s0_rows = [(f"${_SHAPE_TEX[shape]}({i})$", _prog_tex(forms[fam], p))
+               for (shape, i), forms in S_EVEN_CLOSED.items()]
 
     parts = [
         r"\documentclass{article}",

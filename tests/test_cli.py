@@ -16,7 +16,10 @@ import twistroots
 from twistroots import cli
 from twistroots.cli import main
 from twistroots.families import AffineFamily, AlgebraParams
+from twistroots.lattice import RootVector
+from twistroots.rootsys import real_dot_roots
 from twistroots.sampling import random_tight_config
+from twistroots.shadow import FULL_LN, Case, ShadowConfig, hybrid
 
 RUN = [sys.executable, "-m", "twistroots.cli"]
 # The child process imports the same package as the tests, also when pytest
@@ -26,8 +29,30 @@ ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
     filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
 
 
-def run_cli(*argv):
+def run_process(*argv):
+    """One CLI run in a fresh interpreter: for the tests of the process boundary."""
     return subprocess.run(RUN + list(argv), capture_output=True, text=True, env=ENV)
+
+
+def _main_inprocess(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, as a process would end."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    if isinstance(rc, str):  # the interpreter prints the message and exits 1
+        err.write(rc + "\n")
+        rc = 1
+    return rc, out.getvalue(), err.getvalue()
+
+
+def run_cli(*argv):
+    """One CLI run as an in-process ``main`` call, with the exit code, stdout
+    and stderr a process would give (see the fresh-process comparison below)."""
+    rc, out, err = _main_inprocess(list(argv))
+    return subprocess.CompletedProcess(list(argv), rc, out, err)
 
 
 def test_roots_json_count():
@@ -116,14 +141,14 @@ def test_package_runs_as_a_module():
     out = subprocess.run([sys.executable, "-m", "twistroots"] + argv,
                          capture_output=True, text=True, env=ENV)
     assert out.returncode == 0
-    assert out.stdout == run_cli(*argv).stdout
+    assert out.stdout == run_process(*argv).stdout
     assert json.loads(out.stdout)["ok"] is True
 
 
 def test_usage_error_names_constraint():
     out = run_cli("roots", "--family", "a-odd-2", "--k", "1", "--l", "1",
                   "--mmax", "1")
-    assert out.returncode != 0
+    assert out.returncode == 1
     assert "(1, 1)" in out.stderr
 
 
@@ -244,20 +269,6 @@ def test_no_command_prints_help():
     assert main([]) == 2
 
 
-def _main_inprocess(argv):
-    """(exit code, stdout, stderr) of one ``main`` call, as a process would end."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
-    if isinstance(rc, str):  # the interpreter prints the message and exits 1
-        err.write(rc + "\n")
-        rc = 1
-    return rc, out.getvalue(), err.getvalue()
-
-
 def test_repeated_main_calls_match_fresh_processes():
     """``main`` reuses its parser across calls; no call may see state left by
     an earlier one, a failed parse included."""
@@ -273,7 +284,7 @@ def test_repeated_main_calls_match_fresh_processes():
     results = [_main_inprocess(argv) for argv in sequence]
     assert [rc for rc, _, _ in results] == [0, 0, 0, 2, 1, 0]
     for argv, got in zip(sequence, results):
-        fresh = run_cli(*argv)
+        fresh = run_process(*argv)
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
@@ -284,6 +295,22 @@ def _malformed_inputs(tmp_path):
     delta.write_text(json.dumps({"eps": ["1"], "del": ["1"], "delta": "1"}))
     classes = tmp_path / "classes-not-a-list.json"
     classes.write_text(json.dumps({"classes": 5}))
+    float_coeff = tmp_path / "float-coefficient.json"
+    float_coeff.write_text(json.dumps({"eps": [0.1], "del": ["1"], "delta": "0"}))
+    bool_coeff = tmp_path / "boolean-coefficient.json"
+    bool_coeff.write_text(json.dumps({"eps": ["1"], "del": [True], "delta": "0"}))
+    p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
+    d1 = RootVector((0,), (1,), 0)
+    cfg = ShadowConfig.from_assignments(
+        p, {**{d: FULL_LN for d in real_dot_roots(p) if d not in (d1, -d1)},
+            d1: hybrid(Case.III, 1, 1)})
+    doc = cfg.to_json()
+    for entry in doc["classes"]:
+        # int() would turn 1.9 and true back into this valid profile's m 1, t 1
+        if entry["root"] == d1.to_json():
+            entry["state"]["hybrid"].update(m=1.9, t=True)
+    float_profile = tmp_path / "float-hybrid-profile.json"
+    float_profile.write_text(json.dumps(doc))
     return {
         "negative-mmax": ["roots", *base, "--mmax", "-1"],
         "negative-count": ["verify", *base, "--configs", "-3"],
@@ -296,16 +323,31 @@ def _malformed_inputs(tmp_path):
         "verify-unwritable-out": [
             "verify", *base, "--configs", "2", "--adversarial", "2", "--functionals", "1",
             "--roundtrip", "2", "--out", str(tmp_path / "missing" / "out.json")],
+        # Non-integer JSON is refused, not truncated or read character-wise.
+        "float-root-coordinate": [
+            "classify", *base, "--root", '{"eps":[0.5],"del":[2],"dc":0}'],
+        "string-root-coordinates": [
+            "classify", "--family", "a-even-2", "--k", "2", "--l", "1",
+            "--root", '{"eps":"12","del":[0],"dc":0}'],
+        "boolean-root-coordinate": [
+            "classify", *base, "--root", '{"eps":[true],"del":[2],"dc":0}'],
+        "float-hybrid-profile": ["shadow-validate", *base, "--config", str(float_profile)],
+        "float-functional-coefficient": ["phi-pi", *base, "--functional", str(float_coeff)],
+        "boolean-functional-coefficient": [
+            "phi-pi", *base, "--functional", str(bool_coeff)],
     }
 
 
 @pytest.mark.parametrize("case", [
     "negative-mmax", "negative-count", "delta-weighted-functional",
     "classes-not-a-list", "unwritable-out", "verify-unwritable-out",
+    "float-root-coordinate", "string-root-coordinates", "boolean-root-coordinate",
+    "float-hybrid-profile", "float-functional-coefficient",
+    "boolean-functional-coefficient",
 ])
 def test_malformed_input_gives_one_error_line(tmp_path, case):
     out = run_cli(*_malformed_inputs(tmp_path)[case])
-    assert out.returncode != 0
+    assert out.returncode == 1
     assert out.stdout == ""
     lines = out.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr

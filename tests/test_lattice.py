@@ -98,6 +98,21 @@ def test_json_roundtrip():
     assert v.to_json() == {"eps": [1, -2], "del": [0, 3, 0], "dc": -4}
 
 
+@pytest.mark.parametrize("doc", [
+    {"eps": [0.5], "del": [2], "dc": 0},      # int() would truncate to 0
+    {"eps": [1.0], "del": [2], "dc": 0},
+    {"eps": [True], "del": [2], "dc": 0},     # int() would read 1
+    {"eps": ["1"], "del": [2], "dc": 0},
+    {"eps": "12", "del": [2], "dc": 0},       # would read as two coordinates
+    {"eps": [0], "del": [2], "dc": 1.5},
+    {"eps": [0], "del": [2], "dc": False},
+    {"eps": [0], "del": [2], "dc": "1"},
+])
+def test_from_json_refuses_non_integers(doc):
+    with pytest.raises(TypeError):
+        RootVector.from_json(doc)
+
+
 @given(vectors, vectors)
 def test_form_symmetric(u, v):
     assert form(u, v) == form(v, u)

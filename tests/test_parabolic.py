@@ -82,6 +82,26 @@ def test_functional_evaluate_and_json():
         z.evaluate(eps_unit(2, 2, 1))
 
 
+def test_functional_from_json_takes_integers_and_strings():
+    z = Functional.from_json({"eps": [2, "-1/2"], "del": ["0.1"], "delta": 0})
+    assert z == Functional((F(2), F(-1, 2)), (F(1, 10),), F(0))
+    assert Functional.from_json({"eps": [1], "del": [0]}).delta == 0
+
+
+@pytest.mark.parametrize("doc", [
+    {"eps": [0.1], "del": ["1"]},          # Fraction(0.1) is the binary float
+    {"eps": [1.0], "del": ["1"]},
+    {"eps": [True], "del": ["1"]},
+    {"eps": ["1"], "del": ["1"], "delta": 0.0},
+    {"eps": ["1"], "del": ["1"], "delta": False},
+    {"eps": "12", "del": ["1"]},           # would read as two coefficients
+    {"eps": ["1"], "del": None},
+])
+def test_functional_from_json_refuses_floats_and_booleans(doc):
+    with pytest.raises(TypeError):
+        Functional.from_json(doc)
+
+
 fractions = st.fractions(min_value=-99, max_value=99, max_denominator=12)
 
 

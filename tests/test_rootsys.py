@@ -119,6 +119,32 @@ def test_key_sort_is_the_vector_order_on_dot_sets(p):
         assert sorted(dots, key=RootVector.key) == sorted(dots), name
 
 
+# The shapes each pattern's dot vectors have, read off the pattern names.
+PATTERN_SHAPES = {
+    Pattern.PM_EPS: {Shape.EPS_SINGLE},
+    Pattern.PM_2EPS: {Shape.EPS_DOUBLE},
+    Pattern.EPS_PM_EPS: {Shape.EPS_PAIR},
+    Pattern.EPS_PM_EPS_FULL: {Shape.EPS_PAIR, Shape.EPS_DOUBLE},
+    Pattern.PM_DEL: {Shape.DEL_SINGLE},
+    Pattern.PM_2DEL: {Shape.DEL_DOUBLE},
+    Pattern.DEL_PM_DEL: {Shape.DEL_PAIR},
+    Pattern.DEL_PM_DEL_FULL: {Shape.DEL_PAIR, Shape.DEL_DOUBLE},
+    Pattern.EPS_PM_DEL: {Shape.MIXED},
+}
+
+
+def test_expand_pattern_against_a_shape_scan():
+    assert set(PATTERN_SHAPES) | {Pattern.IMAGINARY} == set(Pattern)
+    for k in range(4):
+        for l in range(4):
+            box = [RootVector(c[:k], c[k:], 0) for c in product(range(-2, 3), repeat=k + l)]
+            shapes = {v: shape_of(v) for v in box if not v.is_zero}
+            for pat, want in PATTERN_SHAPES.items():
+                expected = sorted(v for v, shape in shapes.items() if shape in want)
+                assert expand_pattern(pat, k, l) == expected, (pat, k, l)
+            assert expand_pattern(Pattern.IMAGINARY, k, l) == [zero_vec(k, l)]
+
+
 def brute_force_window(p, mmax):
     out = []
     for eps in product(range(-2, 3), repeat=p.k):

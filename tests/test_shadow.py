@@ -147,6 +147,41 @@ def test_member_ln_xor_member_in_everywhere():
             assert member_ln(cfg, v) != member_in(cfg, v)
 
 
+# The boundary table of the shadow module docstring, written out again: the
+# injective and the ln half of a hybrid class, by case and by side of the pair.
+BOUNDARY_TABLE = {
+    (Case.III, True): (lambda m, t, dc: dc >= m + 1, lambda m, t, dc: dc <= m),
+    (Case.III, False): (lambda m, t, dc: dc >= t - m, lambda m, t, dc: dc <= t - 1 - m),
+    (Case.IV, True): (lambda m, t, dc: dc <= m - 1, lambda m, t, dc: dc >= m),
+    (Case.IV, False): (lambda m, t, dc: dc <= -t - m, lambda m, t, dc: dc >= 1 - t - m),
+}
+
+
+@pytest.mark.parametrize("case", [Case.III, Case.IV])
+def test_member_in_follows_the_boundary_table(case):
+    p = P(AffineFamily.A_EVEN_2, 1, 1)
+    # d1 and e1 have every dc; 2d1 only the even and 2e1 only the odd ones
+    reps = [d for d in rs.real_dot_roots(p) if d == canonical_rep(d)]
+    assert len(reps) == 4
+    seen = 0
+    for rho in reps:
+        for m in range(-3, 4):
+            for t in (-1, 0, 1):
+                cfg = pair_config(p, {rho: hybrid(case, m, t)})
+                for on_canonical in (True, False):
+                    in_bound, ln_bound = BOUNDARY_TABLE[(case, on_canonical)]
+                    dot = rho if on_canonical else -rho
+                    for dc in range(-8, 9):
+                        v = dot.with_dc(dc)
+                        if not rs.is_root(p, v):
+                            continue
+                        assert in_bound(m, t, dc) != ln_bound(m, t, dc)
+                        assert member_in(cfg, v) == in_bound(m, t, dc), (rho, m, t, v)
+                        assert member_ln(cfg, v) == ln_bound(m, t, dc), (rho, m, t, v)
+                        seen += 1
+    assert seen == 7 * 3 * 2 * (17 + 17 + 9 + 8)
+
+
 def test_member_rejects_non_real():
     p = P(AffineFamily.A_EVEN_2, 1, 1)
     cfg = all_state_config(p, FULL_LN)
@@ -376,6 +411,20 @@ def test_reanchor_is_involutive_and_t_stable():
                 back = prof.reanchored().reanchored()
                 assert back == prof
                 assert prof.reanchored().t == t
+
+
+@pytest.mark.parametrize("m, t", [(1.9, True), (1.0, 1), (1, 1.0), ("1", 1), (1, True),
+                                  (False, 0), (None, 0)])
+def test_from_json_refuses_non_integer_profiles(m, t):
+    p = P(AffineFamily.A_EVEN_2, 1, 1)
+    d1 = del_unit(1, 1, 1)
+    doc = pair_config(p, {d1: hybrid(Case.III, 1, 1)}).to_json()
+    entry = next(e for e in doc["classes"] if e["root"] == d1.to_json())
+    entry["state"]["hybrid"].update(m=m, t=t)
+    with pytest.raises(ConfigError, match="bad hybrid profile"):
+        ShadowConfig.from_json(p, doc)
+    entry["state"]["hybrid"].update(m=1, t=1)
+    assert ShadowConfig.from_json(p, doc) == pair_config(p, {d1: hybrid(Case.III, 1, 1)})
 
 
 def test_bad_profile_t():
