@@ -11,6 +11,14 @@ Exit status:
      root), or an input was refused with one `error:` line on stderr;
   2  an argparse usage error, or no command.
 
+Refused inputs take one path.  `_read` is the one reader of the three JSON
+inputs (--root text, --functional and --config files): any read, decode,
+parse or load failure becomes a ValueError that names the input.  One handler
+in `main` turns a ValueError (every library input error), an OSError or an
+InfeasibleSystemError into the `error:` line and exit 1.  Internal invariant
+errors (ClassificationBugError, NoDecompositionError, AssertionError) are not
+caught there and still raise.
+
 CSV columns: `roots` emits eps,del,dc,class,parity,component with coordinate
 lists space-separated; `tables` emits table,dot_eps,dot_del,mod,residues.
 """
@@ -22,10 +30,10 @@ import csv
 import io
 import json
 import sys
-from contextlib import contextmanager
-from functools import lru_cache
+from contextlib import nullcontext
+from functools import lru_cache, partial
 
-from .families import AffineFamily, AlgebraParams, InvalidParamsError
+from .families import AffineFamily, AlgebraParams
 from .jsonout import json_text
 from .lattice import RootVector
 from .parabolic import (
@@ -51,7 +59,6 @@ from .rootsys import (
 )
 from .sampling import DEFAULT_SEED
 from .shadow import (
-    ConfigError,
     ShadowConfig,
     check_mixed_components,
     check_parabolic,
@@ -64,25 +71,13 @@ from .verify import run_all
 
 
 def _params(args) -> AlgebraParams:
-    try:
-        family = AffineFamily.from_token(args.family)
-        return AlgebraParams(family, args.k, args.l)
-    except InvalidParamsError as exc:
-        raise SystemExit(f"error: {exc}")
+    return AlgebraParams(AffineFamily.from_token(args.family), args.k, args.l)
 
 
-@contextmanager
 def _output(args):
     """The stream for machine output: the --out file, opened on entry so that
     an unwritable path ends the command before any work, or stdout."""
-    if not args.out:
-        yield sys.stdout
-        return
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            yield fh
-    except OSError as exc:
-        raise SystemExit(f"error: cannot write {args.out}: {exc}")
+    return open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
 
 
 def _emit(args, text: str) -> None:
@@ -90,58 +85,34 @@ def _emit(args, text: str) -> None:
         out.write(text)
 
 
-def _require_nonnegative(args, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) < 0:
-            raise SystemExit(f"error: --{name} must be >= 0, got {getattr(args, name)}")
-
-
-def _load_json(path: str, what: str) -> dict:
+def _read(what: str, load, path: str | None = None, text: str | None = None):
+    """``load`` applied to one JSON input: the --root ``text``, or the file at
+    ``path``.  Any read, decode, parse or load failure is refused as one
+    ValueError that names the input."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise SystemExit(
-            f"error: {what} {path}: invalid JSON at line {exc.lineno}, column {exc.colno}"
-        )
+        if path is not None:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        return load(json.loads(text))
     except OSError as exc:
-        raise SystemExit(f"error: cannot read {what} {path}: {exc}")
+        raise ValueError(f"cannot read {what}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        reason = f"invalid JSON at line {exc.lineno}, column {exc.colno}"
+    except (RecursionError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        reason = exc
+    raise ValueError(f"{what}: {reason}")
 
 
-def _parse_root(p: AlgebraParams, text: str) -> RootVector:
-    try:
-        doc = json.loads(text)
-        v = RootVector.from_json(doc)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise SystemExit(f"error: bad root encoding {text!r}: {exc}")
-    if v.ambient != p.ambient:
-        raise SystemExit(
-            f"error: root ambient {v.ambient} does not match (k, l) = {p.ambient}"
-        )
-    return v
+def _parse_root(text: str) -> RootVector:
+    return _read(f"bad root encoding {text!r}", RootVector.from_json, text=text)
 
 
-def _load_functional(p: AlgebraParams, path: str) -> Functional:
-    doc = _load_json(path, "functional file")
-    try:
-        zeta = Functional.from_json(doc)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise SystemExit(f"error: functional file {path}: {exc}")
-    if (len(zeta.eps), len(zeta.dels)) != p.ambient:
-        raise SystemExit(
-            f"error: functional ambient does not match (k, l) = {p.ambient}"
-        )
-    if zeta.delta != 0:
-        raise SystemExit("error: the functional must vanish on delta")
-    return zeta
+def _load_functional(path: str) -> Functional:
+    return _read(f"functional file {path}", Functional.from_json, path)
 
 
 def _load_config(p: AlgebraParams, path: str) -> ShadowConfig:
-    doc = _load_json(path, "config file")
-    try:
-        return ShadowConfig.from_json(p, doc)
-    except ConfigError as exc:
-        raise SystemExit(f"error: config file {path}: {exc}")
+    return _read(f"config file {path}", partial(ShadowConfig.from_json, p), path)
 
 
 def _info_fields(info: RootInfo | None) -> tuple[str, str, str]:
@@ -157,7 +128,6 @@ def _info_fields(info: RootInfo | None) -> tuple[str, str, str]:
 
 def _cmd_roots(args) -> int:
     p = _params(args)
-    _require_nonnegative(args, "mmax")
     entries = [(v, *_info_fields(info)) for v, info in classify_window(p, args.mmax)]
     if args.format == "json":
         doc = {
@@ -191,7 +161,7 @@ def _cmd_roots(args) -> int:
 
 def _cmd_classify(args) -> int:
     p = _params(args)
-    v = _parse_root(p, args.root)
+    v = _parse_root(args.root)
     if not is_root(p, v):
         _emit(args, json_text({"root": v.to_json(), "is_root": False}))
         return 1
@@ -270,7 +240,10 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify(args) -> int:
     p = _params(args)
-    _require_nonnegative(args, "mmax", "configs", "adversarial", "functionals", "roundtrip")
+    # the library takes negative counts silently; refuse them before --out is opened
+    for name in ("mmax", "configs", "adversarial", "functionals", "roundtrip"):
+        if getattr(args, name) < 0:
+            raise ValueError(f"--{name} must be >= 0, got {getattr(args, name)}")
     with _output(args) as out:
         reports = run_all(
             p,
@@ -297,11 +270,7 @@ def _cmd_shadow_validate(args) -> int:
     p = _params(args)
     cfg = _load_config(p, args.config)
     verdict = validate(cfg)
-    _emit(args, json_text({
-        "valid": verdict.ok,
-        "checks": verdict.checks,
-        "failures": [f.to_json() for f in verdict.failures],
-    }))
+    _emit(args, json_text({"valid": verdict.ok, **verdict.to_json()}))
     return 0 if verdict.ok else 1
 
 
@@ -310,10 +279,7 @@ def _cmd_shadow_derive_p(args) -> int:
     cfg = _load_config(p, args.config)
     verdict = validate(cfg)
     if not verdict.ok:
-        _emit(args, json_text({
-            "valid": False,
-            "failures": [f.to_json() for f in verdict.failures],
-        }))
+        _emit(args, json_text({"valid": False, "failures": verdict.to_json()["failures"]}))
         return 1
     closure = check_parabolic(cfg)
     components = {}
@@ -341,11 +307,7 @@ def _cmd_shadow_derive_p(args) -> int:
         "valid": True,
         "tight": tight,
         "mixed_components": mixed,
-        "closure": {
-            "ok": closure.ok,
-            "checks": closure.checks,
-            "failures": [f.to_json() for f in closure.failures],
-        },
+        "closure": {"ok": closure.ok, **closure.to_json()},
         "components": components,
         "findings": findings,
     }
@@ -358,7 +320,7 @@ def _cmd_parabolic_synth(args) -> int:
     cfg = _load_config(p, args.config)
     verdict = validate(cfg)
     if not verdict.ok:
-        raise SystemExit(f"error: config invalid: {verdict.summary()}")
+        raise ValueError(f"config invalid: {verdict.summary()}")
     components = {}
     functionals = []
     for i in (1, 2):
@@ -367,10 +329,7 @@ def _cmd_parabolic_synth(args) -> int:
             functionals.append(None)
             continue
         dp = dot_parabolic_from_config(cfg, i)
-        try:
-            zeta_i = synthesize_functional(dp)
-        except InfeasibleSystemError as exc:
-            raise SystemExit(f"error: {exc}")
+        zeta_i = synthesize_functional(dp)
         components[str(i)] = {
             "dots": [d.to_json() for d in dp.sorted_members()],
             "proper": dp.proper,
@@ -394,7 +353,7 @@ def _cmd_parabolic_synth(args) -> int:
 
 def _cmd_phi_pi(args) -> int:
     p = _params(args)
-    zeta = _load_functional(p, args.functional)
+    zeta = _load_functional(args.functional)
     gens = generator_set(p, zeta)
     doc = {
         "family": p.family.token, "k": p.k, "l": p.l,
@@ -414,12 +373,9 @@ def _cmd_phi_pi(args) -> int:
 
 def _cmd_decompose(args) -> int:
     p = _params(args)
-    zeta = _load_functional(p, args.functional)
-    target = _parse_root(p, args.root)
-    gens = generator_set(p, zeta)
-    if target not in set(gens.positive):
-        raise SystemExit(f"error: {target} is not in the positive slice")
-    coeffs = decompose_over_generators(target, gens)
+    zeta = _load_functional(args.functional)
+    target = _parse_root(args.root)
+    coeffs = decompose_over_generators(target, generator_set(p, zeta))
     doc = {
         "root": target.to_json(),
         "coefficients": [
@@ -554,7 +510,13 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, InfeasibleSystemError) as exc:
+        # a refused input; internal invariant errors (ClassificationBugError,
+        # NoDecompositionError, AssertionError) are not caught and still raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

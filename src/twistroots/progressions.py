@@ -161,4 +161,11 @@ class ProgressionSet:
 
     @staticmethod
     def from_json(doc: dict) -> ProgressionSet:
-        return ProgressionSet(int(doc["mod"]), tuple(int(r) for r in doc["res"]))
+        """Read ``to_json``'s encoding.  The modulus and the residues must be
+        JSON integers: a float, a string or a boolean is refused, not converted."""
+        mod, res = doc["mod"], doc["res"]
+        if type(mod) is not int:
+            raise TypeError(f"mod must be an integer, got {mod!r}")
+        if not isinstance(res, list) or not all(type(r) is int for r in res):
+            raise TypeError(f"res must be a list of integers, got {res!r}")
+        return ProgressionSet(mod, tuple(res))

@@ -42,6 +42,10 @@ class Verdict:
         self.checks += other.checks
         self.failures.extend(other.failures)
 
+    def to_json(self) -> dict:
+        """The one serialization of a verdict's outcome."""
+        return {"checks": self.checks, "failures": [f.to_json() for f in self.failures]}
+
     def summary(self) -> str:
         if self.ok:
             return f"pass ({self.checks} checks)"

@@ -80,11 +80,7 @@ class RunReport:
     def to_json(self) -> dict:
         # wall time deliberately omitted: emitted artifacts are byte-identical
         # across repeated runs with the same flags and seed.
-        return {
-            "suite": self.suite,
-            "checks": self.checks,
-            "failures": [f.to_json() for f in self.failures],
-        }
+        return {"suite": self.suite, **Verdict(self.checks, self.failures).to_json()}
 
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.failures)} failures)"

@@ -11,6 +11,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import twistroots
 from twistroots import cli
@@ -40,11 +41,8 @@ def _main_inprocess(argv):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             rc = main(argv)
-        except SystemExit as exc:
+        except SystemExit as exc:  # argparse: usage errors and --help
             rc = exc.code
-    if isinstance(rc, str):  # the interpreter prints the message and exits 1
-        err.write(rc + "\n")
-        rc = 1
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -311,6 +309,12 @@ def _malformed_inputs(tmp_path):
             entry["state"]["hybrid"].update(m=1.9, t=True)
     float_profile = tmp_path / "float-hybrid-profile.json"
     float_profile.write_text(json.dumps(doc))
+    non_utf8_config = tmp_path / "non-utf8-config.json"
+    non_utf8_config.write_bytes(b"\xff\xfe{")
+    non_utf8_functional = tmp_path / "non-utf8-functional.json"
+    non_utf8_functional.write_bytes(b"\xff\xfe{")
+    nested_config = tmp_path / "deeply-nested-config.json"
+    nested_config.write_text("[" * 100_000)
     return {
         "negative-mmax": ["roots", *base, "--mmax", "-1"],
         "negative-count": ["verify", *base, "--configs", "-3"],
@@ -335,6 +339,13 @@ def _malformed_inputs(tmp_path):
         "float-functional-coefficient": ["phi-pi", *base, "--functional", str(float_coeff)],
         "boolean-functional-coefficient": [
             "phi-pi", *base, "--functional", str(bool_coeff)],
+        # Undecodable bytes and nesting past the recursion limit are refused
+        # like any other malformed document, not raised as tracebacks.
+        "non-utf8-config": ["shadow-validate", *base, "--config", str(non_utf8_config)],
+        "non-utf8-functional": ["phi-pi", *base, "--functional", str(non_utf8_functional)],
+        "deeply-nested-config": ["shadow-validate", *base, "--config", str(nested_config)],
+        "deeply-nested-root": [
+            "classify", *base, "--root", "[" * 5_000 + "]" * 5_000],
     }
 
 
@@ -343,7 +354,8 @@ def _malformed_inputs(tmp_path):
     "classes-not-a-list", "unwritable-out", "verify-unwritable-out",
     "float-root-coordinate", "string-root-coordinates", "boolean-root-coordinate",
     "float-hybrid-profile", "float-functional-coefficient",
-    "boolean-functional-coefficient",
+    "boolean-functional-coefficient", "non-utf8-config", "non-utf8-functional",
+    "deeply-nested-config", "deeply-nested-root",
 ])
 def test_malformed_input_gives_one_error_line(tmp_path, case):
     out = run_cli(*_malformed_inputs(tmp_path)[case])
@@ -396,3 +408,64 @@ def test_readme_examples_print_what_the_stdlib_encoder_prints(tmp_path, monkeypa
     ours = [_main_inprocess(argv)[:2] for argv in commands]
     monkeypatch.setattr(cli, "json_text", _stdlib_json_text)
     assert ours == [_main_inprocess(argv)[:2] for argv in commands]
+
+
+def test_internal_errors_are_not_refused_inputs(tmp_path, monkeypatch):
+    # The one handler in main() refuses inputs; an internal invariant error
+    # must still raise, never pass for a refused input with an error line.
+    from twistroots.rootsys import ClassificationBugError, NoDecompositionError
+
+    def raise_(exc):
+        def fail(*args, **kwargs):
+            raise exc
+        return fail
+
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1"]
+    zeta_file = tmp_path / "zeta.json"
+    zeta_file.write_text(json.dumps({"eps": ["2"], "del": ["1"], "delta": "0"}))
+    monkeypatch.setattr(cli, "classify", raise_(ClassificationBugError("planted")))
+    monkeypatch.setattr(cli, "generator_set", raise_(NoDecompositionError("planted")))
+    cases = [
+        (ClassificationBugError,
+         ["classify", *base, "--root", '{"eps":[0],"del":[2],"dc":0}']),
+        (NoDecompositionError, ["phi-pi", *base, "--functional", str(zeta_file)]),
+    ]
+    for exc_type, argv in cases:
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            with pytest.raises(exc_type, match="planted"):
+                main(argv)
+        assert "error:" not in err.getvalue(), argv
+
+
+_KEYS = st.sampled_from(["eps", "del", "dc", "delta", "classes", "root", "state",
+                         "hybrid", "case", "m", "t"])
+# JSON values shaped like the three documents often enough to get past the
+# first key lookup: schema keys, small integers, states and fraction strings.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["full_ln", "full_in", "III", "IV", "1/2", "0", "x"]) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=5),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(root=_JSON_VALUES,
+       functional=_JSON_VALUES.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=16),
+       config=_JSON_VALUES.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=16))
+def test_document_inputs_never_escape_main(tmp_path, root, functional, config):
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1"]
+    zeta_file, cfg_file = tmp_path / "zeta.json", tmp_path / "cfg.json"
+    zeta_file.write_bytes(functional)
+    cfg_file.write_bytes(config)
+    for argv in (["classify", *base, f"--root={json.dumps(root)}"],
+                 ["phi-pi", *base, "--functional", str(zeta_file)],
+                 ["shadow-validate", *base, "--config", str(cfg_file)]):
+        rc, out, err = _main_inprocess(argv)
+        assert rc in (0, 1), (argv, rc)
+        if err:
+            assert out == "" and len(err.splitlines()) == 1, (argv, err)
+            assert err.startswith("error:") and err.endswith("\n"), (argv, err)

@@ -76,6 +76,21 @@ def test_json_roundtrip():
     assert ProgressionSet.from_json(s.to_json()) == s
 
 
+@pytest.mark.parametrize("doc", [
+    {"mod": 2.7, "res": ["1", True]},     # int() would read 2Z+1
+    {"mod": 2.0, "res": [1]},
+    {"mod": True, "res": [0]},
+    {"mod": "4", "res": [1]},
+    {"mod": 4, "res": [1.0]},
+    {"mod": 4, "res": [True]},
+    {"mod": 4, "res": ["1"]},
+    {"mod": 4, "res": "12"},              # would read as two residues
+])
+def test_from_json_refuses_non_integers(doc):
+    with pytest.raises(TypeError):
+        ProgressionSet.from_json(doc)
+
+
 @given(progsets)
 def test_canonicalization_preserves_membership(s):
     raw = set()
