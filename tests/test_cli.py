@@ -469,3 +469,78 @@ def test_document_inputs_never_escape_main(tmp_path, root, functional, config):
         if err:
             assert out == "" and len(err.splitlines()) == 1, (argv, err)
             assert err.startswith("error:") and err.endswith("\n"), (argv, err)
+
+
+@pytest.mark.parametrize("family,k,l", [
+    ("a-even-2", 0, 1), ("a-odd-2", 1, 2), ("a-4", 1, 1), ("d-2", 2, 2)])
+def test_tables_csv_rows_are_the_root_and_even_tables(family, k, l):
+    from twistroots.rootsys import even_table, root_table
+
+    p = AlgebraParams(AffineFamily.from_token(family), k, l)
+    rc, out, err = _main_inprocess(["tables", "--family", family, "--k", str(k),
+                                    "--l", str(l), "--format", "csv"])
+    assert (rc, err) == (0, "")
+    expected = ["table,dot_eps,dot_del,mod,residues"]
+    for name, table in [("R", root_table(p)), ("R0_1", even_table(p, 1)),
+                        ("R0_2", even_table(p, 2))]:
+        for dot in sorted(table, key=RootVector.key):
+            prog = table[dot]
+            expected.append(",".join([
+                name, " ".join(map(str, dot.eps)), " ".join(map(str, dot.dels)),
+                str(prog.modulus), " ".join(map(str, prog.residues))]))
+    assert out == "\n".join(expected) + "\n"
+    assert (k == 0) == (not any(line.startswith("R0_2,") for line in expected))
+
+
+def test_shadow_commands_on_an_invalid_config(tmp_path):
+    from twistroots.rootsys import doubling_pairs
+    from twistroots.shadow import FULL_IN, validate
+
+    # a fully-ln odd class whose double is fully-in breaks the doubling rule
+    p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
+    _, doubled = doubling_pairs(p)[0]
+    cfg = ShadowConfig.from_assignments(
+        p, {d: FULL_IN if d == doubled else FULL_LN for d in real_dot_roots(p)})
+    doc = cfg.to_json()
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    verdict = validate(ShadowConfig.from_json(p, doc))
+    assert not verdict.ok
+    failures = [f.to_json() for f in verdict.failures]
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1", "--config", str(cfg_file)]
+
+    rc, out, err = _main_inprocess(["shadow-validate", *base])
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "checks": verdict.checks, "failures": failures}
+    rc, out, err = _main_inprocess(["shadow-derive-p", *base])
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "failures": failures}
+    rc, out, err = _main_inprocess(["parabolic-synth", *base])
+    assert (rc, out) == (1, "")
+    assert err == f"error: config invalid: {verdict.summary()}\n"
+
+
+@pytest.mark.parametrize("family", ["a-even-2", "a-4", "d-2"])
+def test_config_commands_at_k_zero_give_a_null_second_component(tmp_path, family):
+    from twistroots.parabolic import dot_parabolic_from_config, synthesize_functional
+
+    p = AlgebraParams(AffineFamily.from_token(family), 0, 2)
+    cfg, _ = random_tight_config(p, Random(11))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(cfg.to_json()))
+    dp = dot_parabolic_from_config(cfg, 1)
+    dots = [d.to_json() for d in dp.sorted_members()]
+    base = ["--family", family, "--k", "0", "--l", "2", "--config", str(cfg_file)]
+
+    rc, out, err = _main_inprocess(["shadow-derive-p", *base])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["components"] == {
+        "1": {"dots": dots, "proper": dp.proper, "parabolic": True}, "2": None}
+    rc, out, err = _main_inprocess(["parabolic-synth", *base])
+    assert (rc, err) == (0, "")
+    doc = json.loads(out)
+    zeta = synthesize_functional(dp).to_json()
+    assert doc["components"] == {
+        "1": {"dots": dots, "proper": dp.proper, "functional": zeta}, "2": None}
+    assert doc["combined"] == zeta
