@@ -37,6 +37,7 @@ from .families import AffineFamily, AlgebraParams
 from .jsonout import json_text
 from .lattice import RootVector
 from .parabolic import (
+    DotParabolic,
     Functional,
     InfeasibleSystemError,
     combine_functionals,
@@ -51,8 +52,6 @@ from .rootsys import (
     classify,
     classify_window,
     component_empty,
-    dot_roots,
-    dot_roots_0,
     even_table,
     is_root,
     root_table,
@@ -123,6 +122,19 @@ def _info_fields(info: RootInfo | None) -> tuple[str, str, str]:
     return (info.root_class.value, parity, info.component.value)
 
 
+def _spaced(values) -> str:
+    """A CSV cell for a coordinate or residue list: the values space-separated."""
+    return " ".join(map(str, values))
+
+
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 # --- subcommand handlers -------------------------------------------------------
 
 
@@ -143,17 +155,10 @@ def _cmd_roots(args) -> int:
         }
         _emit(args, json_text(doc))
         return 0
-    rows = [
-        (" ".join(map(str, v.eps)), " ".join(map(str, v.dels)), str(v.dc),
-         cls, parity, comp)
-        for v, cls, parity, comp in entries
-    ]
+    rows = [(_spaced(v.eps), _spaced(v.dels), str(v.dc), cls, parity, comp)
+            for v, cls, parity, comp in entries]
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["eps", "del", "dc", "class", "parity", "component"])
-        writer.writerows(rows)
-        _emit(args, buf.getvalue())
+        _emit(args, _csv_text(["eps", "del", "dc", "class", "parity", "component"], rows))
     else:
         _emit(args, roots_tex(p, rows))
     return 0
@@ -173,16 +178,20 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _dot_rows(dots) -> list[dict]:
+    return [d.to_json() for d in sorted(dots, key=RootVector.key)]
+
+
+def _progression_rows(table) -> list[dict]:
+    """The nonzero dots of a table with their progressions, in canonical order."""
+    return [{"dot": d.to_json(), "progression": table[d].to_json()}
+            for d in sorted(table, key=RootVector.key) if not d.is_zero]
+
+
 def _clauses_json(p: AlgebraParams, rows) -> list[dict]:
-    out = []
-    for token, pats in rows:
-        dots = sorted({d for pat in pats for d in expand_pattern(pat, p.k, p.l)},
-                      key=RootVector.key)
-        out.append({
-            "dot": [d.to_json() for d in dots],
-            "progression": resolve_progression(token, p).to_json(),
-        })
-    return out
+    return [{"dot": _dot_rows({d for pat in pats for d in expand_pattern(pat, p.k, p.l)}),
+             "progression": resolve_progression(token, p).to_json()}
+            for token, pats in rows]
 
 
 def _cmd_tables(args) -> int:
@@ -191,20 +200,11 @@ def _cmd_tables(args) -> int:
         _emit(args, tables_tex(p))
         return 0
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["table", "dot_eps", "dot_del", "mod", "residues"])
-        sections = [("R", root_table(p))]
-        for i in (1, 2):
-            sections.append((f"R0_{i}", even_table(p, i)))
-        for name, table in sections:
-            for dot in sorted(table, key=RootVector.key):
-                prog = table[dot]
-                writer.writerow(
-                    [name, " ".join(map(str, dot.eps)), " ".join(map(str, dot.dels)),
-                     prog.modulus, " ".join(map(str, prog.residues))]
-                )
-        _emit(args, buf.getvalue())
+        sections = [("R", root_table(p)), ("R0_1", even_table(p, 1)), ("R0_2", even_table(p, 2))]
+        rows = [(name, _spaced(d.eps), _spaced(d.dels), table[d].modulus,
+                 _spaced(table[d].residues))
+                for name, table in sections for d in sorted(table, key=RootVector.key)]
+        _emit(args, _csv_text(["table", "dot_eps", "dot_del", "mod", "residues"], rows))
         return 0
     doc = {
         "family": p.family.token,
@@ -216,23 +216,10 @@ def _cmd_tables(args) -> int:
                      else {"clauses": _clauses_json(p, EVEN_CLAUSES[p.family][i])})
             for i in (1, 2)
         },
-        "S": [
-            {"dot": dot.to_json(), "progression": root_table(p)[dot].to_json()}
-            for dot in sorted(dot_roots(p), key=RootVector.key) if not dot.is_zero
-        ],
-        "S0": {
-            str(i): [
-                {"dot": dot.to_json(), "progression": even_table(p, i)[dot].to_json()}
-                for dot in sorted(dot_roots_0(p, i), key=RootVector.key)
-                if not dot.is_zero
-            ]
-            for i in (1, 2)
-        },
-        "Rdot": [d.to_json() for d in sorted(dot_roots(p), key=RootVector.key)],
-        "Rdot0": {
-            str(i): [d.to_json() for d in sorted(dot_roots_0(p, i), key=RootVector.key)]
-            for i in (1, 2)
-        },
+        "S": _progression_rows(root_table(p)),
+        "S0": {str(i): _progression_rows(even_table(p, i)) for i in (1, 2)},
+        "Rdot": _dot_rows(root_table(p)),
+        "Rdot0": {str(i): _dot_rows(even_table(p, i)) for i in (1, 2)},
     }
     _emit(args, json_text(doc))
     return 0
@@ -274,6 +261,17 @@ def _cmd_shadow_validate(args) -> int:
     return 0 if verdict.ok else 1
 
 
+def _traces(cfg: ShadowConfig) -> dict[str, DotParabolic | None]:
+    """The config's trace on each even component, keyed "1" and "2"; None
+    for an empty component."""
+    return {str(i): None if component_empty(cfg.params, i) else dot_parabolic_from_config(cfg, i)
+            for i in (1, 2)}
+
+
+def _trace_json(dp: DotParabolic, **fields) -> dict:
+    return {"dots": [d.to_json() for d in dp.sorted_members()], "proper": dp.proper, **fields}
+
+
 def _cmd_shadow_derive_p(args) -> int:
     p = _params(args)
     cfg = _load_config(p, args.config)
@@ -282,20 +280,10 @@ def _cmd_shadow_derive_p(args) -> int:
         _emit(args, json_text({"valid": False, "failures": verdict.to_json()["failures"]}))
         return 1
     closure = check_parabolic(cfg)
-    components = {}
-    propers = []
-    for i in (1, 2):
-        if component_empty(p, i):
-            components[str(i)] = None
-            continue
-        dp = dot_parabolic_from_config(cfg, i)
-        ip = is_parabolic(dp)
-        propers.append(dp.proper)
-        components[str(i)] = {
-            "dots": [d.to_json() for d in dp.sorted_members()],
-            "proper": dp.proper,
-            "parabolic": ip.ok,
-        }
+    traces = _traces(cfg)
+    components = {c: None if dp is None else _trace_json(dp, parabolic=is_parabolic(dp).ok)
+                  for c, dp in traces.items()}
+    propers = [dp.proper for dp in traces.values() if dp is not None]
     tight = is_tight(cfg)
     mixed = check_mixed_components(cfg).ok
     findings = []
@@ -321,24 +309,14 @@ def _cmd_parabolic_synth(args) -> int:
     verdict = validate(cfg)
     if not verdict.ok:
         raise ValueError(f"config invalid: {verdict.summary()}")
-    components = {}
-    functionals = []
-    for i in (1, 2):
-        if component_empty(p, i):
-            components[str(i)] = None
-            functionals.append(None)
-            continue
-        dp = dot_parabolic_from_config(cfg, i)
-        zeta_i = synthesize_functional(dp)
-        components[str(i)] = {
-            "dots": [d.to_json() for d in dp.sorted_members()],
-            "proper": dp.proper,
-            "functional": zeta_i.to_json(),
-        }
-        functionals.append(zeta_i)
+    traces = _traces(cfg)
+    functionals = {c: None if dp is None else synthesize_functional(dp)
+                   for c, dp in traces.items()}
+    components = {c: None if dp is None else _trace_json(dp, functional=functionals[c].to_json())
+                  for c, dp in traces.items()}
     # component 1 is never empty (it holds the zero dot), so only the second
     # functional can be None
-    combined = combine_functionals(*functionals)
+    combined = combine_functionals(*functionals.values())
     doc = {
         "components": components,
         "combined": combined.to_json(),
@@ -402,7 +380,10 @@ def _add_out(sub) -> None:
     sub.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call and reused: parsing
+    keeps no state in it, and building it costs more than most queries."""
     parser = argparse.ArgumentParser(
         prog="twistroots",
         description="Exact root-system combinatorics for twisted affine Lie superalgebras.",
@@ -491,13 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_decompose)
 
     return parser
-
-
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on its first call and reused: parsing
-    keeps no state in it, and building it costs more than most queries."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -10,6 +10,7 @@ indecomposables, and nonnegative integral decompositions over them).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -21,6 +22,7 @@ from .lattice import RootVector
 from .reporting import Verdict
 from .rootsys import (
     EmptyComponentError,
+    _check_ambient,
     dot_roots_0,
     even_table,
     r_invariants,
@@ -32,6 +34,10 @@ from .tables import REAL_SHAPES, shape_of
 
 class InfeasibleSystemError(RuntimeError):
     """No functional realizes the requested half-space; surfaced, never swallowed."""
+
+
+# The decimal-exponent strings that ``Fraction`` reads, such as "1e5" or "-2.5E-3".
+_EXPONENT = re.compile(r"\s*[-+]?(?=\.?\d)[\d_]*(\.[\d_]*)?[eE][-+]?[\d_]+\s*")
 
 
 def _frac_str(x: Fraction) -> str:
@@ -88,8 +94,10 @@ class Functional:
     @staticmethod
     def from_json(doc: dict) -> Functional:
         """Read ``to_json``'s encoding.  A coefficient is a JSON integer or a
-        string such as "-3/4"; a float or a boolean is refused, since a binary
-        float would not be the rational the document shows."""
+        string such as "-3/4" or "0.5"; a float or a boolean is refused, since
+        a binary float would not be the rational the document shows, and so is
+        a string with a decimal exponent, since "1e3000000" alone would take
+        seconds to read."""
         eps, dels, delta = doc["eps"], doc["del"], doc.get("delta", 0)
         for name, coeffs in (("eps", eps), ("del", dels)):
             if not isinstance(coeffs, list):
@@ -97,6 +105,8 @@ class Functional:
         for c in (*eps, *dels, delta):
             if type(c) not in (int, str):
                 raise TypeError(f"a coefficient must be an integer or a string, got {c!r}")
+            if type(c) is str and _EXPONENT.fullmatch(c):
+                raise ValueError(f"a coefficient must not have an exponent, got {c!r}")
         return Functional(
             tuple(map(Fraction, eps)), tuple(map(Fraction, dels)), Fraction(delta)
         )
@@ -185,10 +195,6 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
     return v
 
 
-def _component_coords(dp: DotParabolic, dot: RootVector) -> tuple[int, ...]:
-    return dot.eps if dp.component == 2 else dot.dels
-
-
 def synthesize_functional(dp: DotParabolic) -> Functional:
     """An integral functional whose weak-nonnegativity locus on the component
     equals the subset.
@@ -197,31 +203,33 @@ def synthesize_functional(dp: DotParabolic) -> Functional:
     subset's nilradical: the members d of P with -d not in P.  For a parabolic
     P, s vanishes on the Levi part (the members whose negative is a member)
     and is positive on the nilradical (Bourbaki, Lie Groups and Lie Algebras,
-    ch. VI 1.7), so P = {d : <d, s> >= 0}.  A subset that is not a half-space
-    trace fails that recovery check, which is surfaced as InfeasibleSystemError.
+    ch. VI 1.7), so P = {d : <d, s> >= 0}.  The recovery check compares P with
+    ``induced_dot_parabolic`` of the candidate; a subset that is not a
+    half-space trace fails it, which is surfaced as InfeasibleSystemError.
     """
-    p = dp.params
-    ambient = dot_roots_0(p, dp.component)
-    s = [0] * (p.k if dp.component == 2 else p.l)
+    p, i = dp.params, dp.component
+    s = [0] * (p.k if i == 2 else p.l)
     for dot in dp.members:
         if -dot not in dp.members:
-            s = [a + b for a, b in zip(s, _component_coords(dp, dot))]
+            s = [a + b for a, b in zip(s, dot.eps if i == 2 else dot.dels)]
     coeffs = tuple(Fraction(c) for c in s)
     zeta = (
         Functional(coeffs, (Fraction(0),) * p.l)
-        if dp.component == 2
+        if i == 2
         else Functional((Fraction(0),) * p.k, coeffs)
     )
-    if {d for d in ambient if zeta.evaluate(d) >= 0} != dp.members:
+    if induced_dot_parabolic(p, i, zeta).members != dp.members:
         raise InfeasibleSystemError(
-            f"no functional realizes the subset on component {dp.component} "
+            f"no functional realizes the subset on component {i} "
             f"of {p.describe()}: {dp.sorted_members()}"
         )
     return zeta
 
 
 def induced_dot_parabolic(p: AlgebraParams, i: int, zeta: Functional) -> DotParabolic:
-    """The weak-nonnegativity trace of a functional on component i."""
+    """The weak-nonnegativity trace of a functional on component i: the one
+    implementation, which ``synthesize_functional`` also uses to check its
+    result."""
     ambient = dot_roots_0(p, i)
     if not ambient:
         raise EmptyComponentError(f"component {i} of {p.describe()} is empty")
@@ -371,7 +379,8 @@ def decompose_over_generators(
     target: RootVector, gens: GeneratorSet
 ) -> dict[RootVector, int]:
     """Nonnegative integer coefficients over the generators reproducing the
-    target exactly (delta coordinate included).
+    target exactly (delta coordinate included).  A target of another ambient
+    than the generators' params is refused with AmbientMismatchError.
 
     Repeated splitting along the indecomposability witness of
     ``generator_set``: an element v of the positive slice is split into a and
@@ -380,6 +389,7 @@ def decompose_over_generators(
     have a strictly smaller functional value, so on the finite slice the
     splitting stops, and the result is deterministic.
     """
+    _check_ambient(gens.params, target)
     splits = gens._splits
     if target not in splits:
         raise ValueError(f"{target} is not in the positive slice")

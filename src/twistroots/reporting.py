@@ -26,9 +26,6 @@ class Verdict:
     def ok(self) -> bool:
         return not self.failures
 
-    def __bool__(self) -> bool:
-        return self.ok
-
     def record(
         self, passed: bool, check: str, witness: str | Callable[[], str] = ""
     ) -> None:

@@ -400,21 +400,26 @@ def _squared_length(dot: RootVector) -> int:
     return abs(norm(dot))
 
 
+def _component_sums(p: AlgebraParams, i: int):
+    """(a, b, a + b) with squared lengths (la, lb, lc), for every ordered pair
+    of nonzero dots of component i, in canonical order, whose sum is a nonzero
+    dot of the component."""
+    table = even_table(p, i)
+    nonzero = [d for d in sorted(table, key=RootVector.key) if not d.is_zero]
+    for a in nonzero:
+        for b in nonzero:
+            c = a + b
+            if not c.is_zero and c in table:
+                yield a, b, c, _squared_length(a), _squared_length(b), _squared_length(c)
+
+
 def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
     """For equal-length summands not exceeding their sum's length, the sum's
     coefficient set is contained in the sumset of the summands'."""
     v = Verdict()
-    dots = sorted(dot_roots_0(p, i), key=RootVector.key)
-    nonzero = [d for d in dots if not d.is_zero]
     table = even_table(p, i)
-    for a in nonzero:
-        for b in nonzero:
-            c = a + b
-            if c.is_zero or c not in table:
-                continue
-            la, lb, lc = _squared_length(a), _squared_length(b), _squared_length(c)
-            if not (la == lb <= lc):
-                continue
+    for a, b, c, la, lb, lc in _component_sums(p, i):
+        if la == lb <= lc:
             ok = table[c].issubset(table[a].add(table[b]))
             v.record(ok, f"sum-set inclusion in component {i}", lambda: f"{a} + {b} = {c}")
     if v.checks == 0:
@@ -426,22 +431,15 @@ def check_length_trichotomy(p: AlgebraParams, i: int) -> Verdict:
     """Within an even component, any pair with a nonzero root sum realizes exactly
     one of the three length patterns: equal<sum, sum=short<long, all equal."""
     v = Verdict()
-    dots = dot_roots_0(p, i)
-    nonzero = sorted((d for d in dots if not d.is_zero), key=RootVector.key)
-    for a in nonzero:
-        for b in nonzero:
-            c = a + b
-            if c.is_zero or c not in dots:
-                continue
-            la, lb, lc = _squared_length(a), _squared_length(b), _squared_length(c)
-            pat_a = la == lb < lc
-            pat_b = (lc == la < lb) or (lc == lb < la)
-            pat_c = la == lb == lc
-            v.record(
-                pat_a + pat_b + pat_c == 1,
-                f"length trichotomy in component {i}",
-                lambda: f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})",
-            )
+    for a, b, c, la, lb, lc in _component_sums(p, i):
+        pat_a = la == lb < lc
+        pat_b = (lc == la < lb) or (lc == lb < la)
+        pat_c = la == lb == lc
+        v.record(
+            pat_a + pat_b + pat_c == 1,
+            f"length trichotomy in component {i}",
+            lambda: f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})",
+        )
     if v.checks == 0:
         v.record(True, f"length trichotomy in component {i} (vacuous)")
     return v

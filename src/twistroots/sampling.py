@@ -86,13 +86,13 @@ def random_tight_config(
 
 
 @lru_cache(maxsize=None)
-def _closure_break_targets(
-    p: AlgebraParams,
-) -> tuple[tuple[RootVector, RootVector, RootVector], ...]:
-    """Real dot triples (a, b, a+b) where flipping a+b to fully-in from an
-    all-fully-ln baseline passes validation but breaks closure: the sum must not
-    be the double of an odd class nor an odd class with a root double.  Cached
-    per params; every sum is the real dot object itself, not a copy of it."""
+def _closure_break_targets(p: AlgebraParams) -> tuple[RootVector, ...]:
+    """The sum a+b of each ordered pair (a, b) of real dots, in pair order,
+    where flipping a+b to fully-in from an all-fully-ln baseline passes
+    validation but breaks closure: the sum must not be the double of an odd
+    class nor an odd class with a root double.  A sum is listed once per pair,
+    so a uniform draw weights it by its pairs.  Cached per params; every sum is
+    the real dot object itself, not a copy of it."""
     reals = real_dot_roots(p)
     canonical = {d: d for d in reals}
     protected = set()
@@ -104,7 +104,7 @@ def _closure_break_targets(
         for b in reals:
             c = canonical.get(a + b)
             if c is not None and c not in protected and -c not in protected:
-                out.append((a, b, c))
+                out.append(c)
     return tuple(out)
 
 
@@ -134,9 +134,8 @@ def adversarial_config(p: AlgebraParams, rng: Random, kind: str, mmax: int = 8) 
         targets = _closure_break_targets(p)
         if not targets:
             raise ValueError(f"{p.describe()} has no closure-break triple")
-        _, _, c = rng.choice(targets)
         states: dict[RootVector, ClassState] = {d: FULL_LN for d in real_dot_roots(p)}
-        states[c] = FULL_IN
+        states[rng.choice(targets)] = FULL_IN
         return ShadowConfig(p, states)
     raise ValueError(f"unknown mutation kind {kind!r}")
 

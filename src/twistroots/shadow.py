@@ -207,8 +207,9 @@ class ShadowConfig:
 
 
 def validate(cfg: ShadowConfig) -> Verdict:
-    """Totality, +-symmetry of hybrid profiles, and the doubling rules for odd
-    classes whose double is again a class."""
+    """Totality, +-symmetry of hybrid profiles, and the doubling rule for odd
+    classes whose double is again a class: a fully-ln or fully-in odd class
+    doubles to a class of the same kind, a hybrid one imposes no constraint."""
     v = Verdict()
     classes = set(real_dot_roots(cfg.params))
     v.record(set(cfg.states) == classes, "states total on real classes",
@@ -227,16 +228,13 @@ def validate(cfg: ShadowConfig) -> Verdict:
         )
     for dot, doubled in doubling_pairs(cfg.params):
         st, st2 = cfg.states[dot], cfg.states[doubled]
-        if st.kind is StateKind.FULL_LN:
-            v.record(st2.kind is StateKind.FULL_LN,
-                     "fully-ln odd class doubles to a fully-ln class",
-                     lambda: f"{dot} full_ln but {doubled} {st2.kind.value}")
-        elif st.kind is StateKind.FULL_IN:
-            v.record(st2.kind is StateKind.FULL_IN,
-                     "fully-in odd class doubles to a fully-in class",
-                     lambda: f"{dot} full_in but {doubled} {st2.kind.value}")
-        else:
+        if st.is_hybrid:
             v.record(True, "hybrid odd class imposes no doubling constraint")
+        else:
+            part = "ln" if st.kind is StateKind.FULL_LN else "in"
+            v.record(st2.kind is st.kind,
+                     f"fully-{part} odd class doubles to a fully-{part} class",
+                     lambda: f"{dot} {st.kind.value} but {doubled} {st2.kind.value}")
     return v
 
 

@@ -54,13 +54,20 @@ def _clause_tex(p: AlgebraParams, token: str, pats: tuple[Pattern, ...]) -> str:
     return prog + r" \pm \{" + ",\\ ".join(symbols) + r"\}"
 
 
-def _tabular(rows: list[tuple[str, str]], header: tuple[str, str]) -> str:
-    lines = [r"\begin{tabular}{|l|l|}", r"\hline",
-             f"{header[0]} & {header[1]} \\\\", r"\hline"]
-    for left, right in rows:
-        lines.append(f"{left} & {right} \\\\")
-    lines.extend([r"\hline", r"\end{tabular}"])
+def _tabular(rows: list[tuple[str, ...]], header: tuple[str, ...]) -> str:
+    """One tabular with a left-aligned column per header cell."""
+    lines = [f"\\begin{{tabular}}{{|{'l|' * len(header)}}}", r"\hline",
+             " & ".join(header) + r" \\", r"\hline"]
+    lines += [" & ".join(row) + r" \\" for row in rows]
+    lines += [r"\hline", r"\end{tabular}"]
     return "\n".join(lines)
+
+
+def _document(title: str, *body: str) -> str:
+    """A standalone document: one starred section with the body lines."""
+    return "\n".join([r"\documentclass{article}", r"\usepackage{amssymb}",
+                      r"\begin{document}", f"\\section*{{{title}}}", *body,
+                      r"\end{document}"]) + "\n"
 
 
 def _prog_tex(token: str | None, p: AlgebraParams) -> str:
@@ -80,28 +87,21 @@ def tables_tex(p: AlgebraParams) -> str:
     s_rows = [(f"${_SHAPE_TEX[shape]}$", _prog_tex(forms[fam], p))
               for shape, forms in S_CLOSED.items()]
 
-    even_rows = []
+    even_rows, dot0_rows = [], []
     for i in (1, 2):
         if not even_table(p, i):
             even_rows.append((f"$R_0({i})$", r"$\emptyset$"))
+            dot0_rows.append((f"$\\dot R_0({i})$", r"$\emptyset$"))
             continue
         for tok, pats in EVEN_CLAUSES[fam][i]:
             even_rows.append((f"$R_0({i})$", f"${_clause_tex(p, tok, pats)}$"))
-    dot0_rows = []
-    for i in (1, 2):
-        if not even_table(p, i):
-            dot0_rows.append((f"$\\dot R_0({i})$", r"$\emptyset$"))
-        else:
-            syms = ",\\ ".join(_PATTERN_TEX[pt] for pt in DOT_PATTERNS_EVEN[fam][i])
-            dot0_rows.append((f"$\\dot R_0({i})$", f"$\\pm\\{{{syms}\\}}$"))
+        syms = ",\\ ".join(_PATTERN_TEX[pt] for pt in DOT_PATTERNS_EVEN[fam][i])
+        dot0_rows.append((f"$\\dot R_0({i})$", f"$\\pm\\{{{syms}\\}}$"))
     s0_rows = [(f"${_SHAPE_TEX[shape]}({i})$", _prog_tex(forms[fam], p))
                for (shape, i), forms in S_EVEN_CLOSED.items()]
 
-    parts = [
-        r"\documentclass{article}",
-        r"\usepackage{amssymb}",
-        r"\begin{document}",
-        f"\\section*{{Root data for ${name}$, $k={p.k}$, $\\ell={p.l}$}}",
+    return _document(
+        f"Root data for ${name}$, $k={p.k}$, $\\ell={p.l}$",
         r"\subsection*{Root set}",
         _tabular(root_rows, (f"${name}$", "$R$")),
         r"\subsection*{Delta-free roots}",
@@ -113,24 +113,10 @@ def tables_tex(p: AlgebraParams) -> str:
         _tabular(dot0_rows, (f"${name}$", "$\\dot R_0(i)$")),
         r"\subsection*{Even coefficient sets}",
         _tabular(s0_rows, ("", f"${name}$")),
-        r"\end{document}",
-    ]
-    return "\n".join(parts) + "\n"
+    )
 
 
 def roots_tex(p: AlgebraParams, rows: list[tuple[str, str, str, str, str, str]]) -> str:
     """Standalone document listing classified roots (pre-rendered row strings)."""
-    lines = [
-        r"\documentclass{article}",
-        r"\usepackage{amssymb}",
-        r"\begin{document}",
-        f"\\section*{{Roots of ${p.family.tex_name()}$, $k={p.k}$, $\\ell={p.l}$}}",
-        r"\begin{tabular}{|l|l|l|l|l|l|}",
-        r"\hline",
-        r"eps & del & dc & class & parity & component \\",
-        r"\hline",
-    ]
-    for row in rows:
-        lines.append(" & ".join(row) + r" \\")
-    lines.extend([r"\hline", r"\end{tabular}", r"\end{document}"])
-    return "\n".join(lines) + "\n"
+    return _document(f"Roots of ${p.family.tex_name()}$, $k={p.k}$, $\\ell={p.l}$",
+                     _tabular(rows, ("eps", "del", "dc", "class", "parity", "component")))

@@ -26,7 +26,7 @@ from .parabolic import (
     shifted_full,
     synthesize_functional,
 )
-from .reporting import Failure, Verdict
+from .reporting import Verdict
 from .rootsys import (
     ClassificationBugError,
     check_double_odd,
@@ -66,21 +66,17 @@ from .tables import (
 )
 
 
-@dataclass
-class RunReport:
-    suite: str
-    checks: int
-    failures: list[Failure]
-    wall_time: float
+@dataclass(kw_only=True)
+class RunReport(Verdict):
+    """A suite's verdict, with the suite's name and its wall time."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    suite: str
+    wall_time: float
 
     def to_json(self) -> dict:
         # wall time deliberately omitted: emitted artifacts are byte-identical
         # across repeated runs with the same flags and seed.
-        return {"suite": self.suite, **Verdict(self.checks, self.failures).to_json()}
+        return {"suite": self.suite, **super().to_json()}
 
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.failures)} failures)"
@@ -88,7 +84,7 @@ class RunReport:
 
 
 def _finish(suite: str, v: Verdict, t0: float) -> RunReport:
-    return RunReport(suite, v.checks, list(v.failures), time.time() - t0)
+    return RunReport(v.checks, v.failures, suite=suite, wall_time=time.time() - t0)
 
 
 def suite_tables(p: AlgebraParams) -> RunReport:

@@ -315,6 +315,10 @@ def _malformed_inputs(tmp_path):
     non_utf8_functional.write_bytes(b"\xff\xfe{")
     nested_config = tmp_path / "deeply-nested-config.json"
     nested_config.write_text("[" * 100_000)
+    exponent = tmp_path / "exponent-coefficient.json"
+    exponent.write_text(json.dumps({"eps": ["1e5000"], "del": ["1"], "delta": "0"}))
+    zeta = tmp_path / "zeta.json"
+    zeta.write_text(json.dumps({"eps": ["2"], "del": ["1"], "delta": "0"}))
     return {
         "negative-mmax": ["roots", *base, "--mmax", "-1"],
         "negative-count": ["verify", *base, "--configs", "-3"],
@@ -346,6 +350,11 @@ def _malformed_inputs(tmp_path):
         "deeply-nested-config": ["shadow-validate", *base, "--config", str(nested_config)],
         "deeply-nested-root": [
             "classify", *base, "--root", "[" * 5_000 + "]" * 5_000],
+        # Refused on load, before any work, not when the slice is printed.
+        "exponent-functional-coefficient": ["phi-pi", *base, "--functional", str(exponent)],
+        "decompose-other-ambient": [
+            "decompose", *base, "--functional", str(zeta),
+            "--root", '{"eps":[0,0],"del":[1],"dc":0}'],
     }
 
 
@@ -355,7 +364,8 @@ def _malformed_inputs(tmp_path):
     "float-root-coordinate", "string-root-coordinates", "boolean-root-coordinate",
     "float-hybrid-profile", "float-functional-coefficient",
     "boolean-functional-coefficient", "non-utf8-config", "non-utf8-functional",
-    "deeply-nested-config", "deeply-nested-root",
+    "deeply-nested-config", "deeply-nested-root", "exponent-functional-coefficient",
+    "decompose-other-ambient",
 ])
 def test_malformed_input_gives_one_error_line(tmp_path, case):
     out = run_cli(*_malformed_inputs(tmp_path)[case])
@@ -544,3 +554,12 @@ def test_config_commands_at_k_zero_give_a_null_second_component(tmp_path, family
     assert doc["components"] == {
         "1": {"dots": dots, "proper": dp.proper, "functional": zeta}, "2": None}
     assert doc["combined"] == zeta
+
+
+def test_refusals_name_the_exponent_and_the_ambient(tmp_path):
+    cases = _malformed_inputs(tmp_path)
+    _, _, err = _main_inprocess(cases["exponent-functional-coefficient"])
+    assert err == (f"error: functional file {tmp_path / 'exponent-coefficient.json'}: "
+                   "a coefficient must not have an exponent, got '1e5000'\n")
+    _, _, err = _main_inprocess(cases["decompose-other-ambient"])
+    assert err == "error: vector ambient (2, 1) does not match params (1, 1)\n"

@@ -1,5 +1,6 @@
 """Functionals, triangular decompositions, synthesis, and the generator set."""
 
+import time
 from fractions import Fraction as F
 from itertools import product
 from operator import sub
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.fm import feasible_point
-from twistroots.lattice import RootVector, del_unit, delta_vec, eps_unit, zero_vec
+from twistroots.lattice import AmbientMismatchError, RootVector, del_unit, delta_vec, eps_unit, zero_vec
 from twistroots.progressions import ProgressionSet
 from twistroots import parabolic, rootsys as rs
 from twistroots.parabolic import (
@@ -100,6 +101,16 @@ def test_functional_from_json_takes_integers_and_strings():
 def test_functional_from_json_refuses_floats_and_booleans(doc):
     with pytest.raises(TypeError):
         Functional.from_json(doc)
+
+
+@pytest.mark.parametrize("c", ["1e5", "1e3000000", "-2.5E-3", ".5e1", " 7e0 "])
+def test_functional_from_json_refuses_exponents_at_once(c):
+    # Fraction reads "1e3000000" as a 3,000,001-digit integer, which takes seconds
+    for doc in ({"eps": [c], "del": ["1"]}, {"eps": ["1"], "del": ["1"], "delta": c}):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="must not have an exponent"):
+            Functional.from_json(doc)
+        assert time.perf_counter() - t0 < 0.1
 
 
 fractions = st.fractions(min_value=-99, max_value=99, max_denominator=12)
@@ -466,6 +477,14 @@ def test_decompose_rejects_outsiders():
     gens = generator_set(p, zeta)
     with pytest.raises(ValueError):
         decompose_over_generators(-del_unit(1, 1, 1), gens)
+
+
+def test_decompose_refuses_another_ambient():
+    p = P(AffineFamily.A_EVEN_2, 1, 1)
+    gens = generator_set(p, Functional((F(2),), (F(1),)))
+    with pytest.raises(AmbientMismatchError,
+                       match=r"^vector ambient \(2, 1\) does not match params \(1, 1\)$"):
+        decompose_over_generators(del_unit(2, 1, 1), gens)
 
 
 def test_decompose_everything_random():
