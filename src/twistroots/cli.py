@@ -269,7 +269,7 @@ def _traces(cfg: ShadowConfig) -> dict[str, DotParabolic | None]:
 
 
 def _trace_json(dp: DotParabolic, **fields) -> dict:
-    return {"dots": [d.to_json() for d in dp.sorted_members()], "proper": dp.proper, **fields}
+    return {"dots": _dot_rows(dp.members), "proper": dp.proper, **fields}
 
 
 def _cmd_shadow_derive_p(args) -> int:

@@ -389,9 +389,9 @@ def decompose_over_generators(
     have a strictly smaller functional value, so on the finite slice the
     splitting stops, and the result is deterministic.
     """
-    _check_ambient(gens.params, target)
     splits = gens._splits
     if target not in splits:
+        _check_ambient(gens.params, target)  # a root of another ambient is never a key
         raise ValueError(f"{target} is not in the positive slice")
     out: dict[RootVector, int] = {}
     stack = [target]
