@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .families import AffineFamily, AlgebraParams, InvalidParamsError, valid_params
-from .lattice import AmbientMismatchError, RootVector, form, norm
+from .lattice import AmbientMismatchError, RootVector, norm
 from .progressions import ProgressionSet
 from .reporting import Verdict
 from .tables import (

@@ -36,7 +36,6 @@ from .rootsys import (
     classify,
     classify_window,
     component_empty,
-    dot_roots_0,
     enumerate_window,
     even_table,
     is_root,
