@@ -18,7 +18,7 @@ from random import Random
 from twistroots.cli import main
 from twistroots.families import AffineFamily, AlgebraParams
 from twistroots.rootsys import doubling_pairs, real_dot_roots
-from twistroots.sampling import random_tight_config
+from twistroots.sampling import adversarial_config, random_tight_config
 from twistroots.shadow import FULL_IN, FULL_LN, ShadowConfig
 
 WALL_TIME = re.compile(r" in \d+\.\d\ds$", re.MULTILINE)
@@ -93,6 +93,12 @@ def _cases(tmp_path):
         path = _write(tmp_path / f"{label}.json", cfg.to_json())
         for command in ("shadow-validate", "shadow-derive-p", "parabolic-synth"):
             cases[f"{command}-{label}"] = [command, *_base(name), "--config", path]
+    # Closure failures, witnesses included: validate passes, check_parabolic fails.
+    for name, seed in (("ae", 1), ("d2", 0)):
+        cfg = adversarial_config(_params(name), Random(seed), "broken_closure")
+        path = _write(tmp_path / f"broken-closure-{name}.json", cfg.to_json())
+        cases[f"shadow-derive-p-broken-closure-{name}"] = [
+            "shadow-derive-p", *_base(name), "--config", path]
 
     functionals = {
         "ae": {"eps": ["2"], "del": ["1"], "delta": "0"},
@@ -256,6 +262,10 @@ EXPECTED = {
         "92380f41cac1aa60ad5abf99c5cd261c090fa0d53745556875a7a215307d55a8",
     "parabolic-synth-broken-doubling-ae":
         "68de0f095b9ed42217f8ae9d691bff58598f495ddda0e7a91bf78aac845914fd",
+    "shadow-derive-p-broken-closure-ae":
+        "a026e49d6b133580fa5b6b59a08923a2fde7951c0e9fae68d2496179f51ed7d5",
+    "shadow-derive-p-broken-closure-d2":
+        "aaeda863ffc3a64adef83a735a9139f0bcf60cb52075aa197044c0770cdf34f6",
     "phi-pi-ae":
         "060586d87c82ca91145417e7dfd6c67180c85b7ca6ff5af102ad5a93363fbd6a",
     "phi-pi-a4":
