@@ -23,8 +23,10 @@ from .reporting import Verdict
 from .rootsys import (
     EmptyComponentError,
     _check_ambient,
+    dot_codes,
     dot_roots_0,
     even_table,
+    linear_codes,
     r_invariants,
     real_dot_roots,
 )
@@ -173,25 +175,32 @@ def dot_parabolic_from_config(cfg: ShadowConfig, i: int, mmax: int = 8) -> DotPa
 
 def is_parabolic(dp: DotParabolic) -> Verdict:
     """Cover (every element or its negative belongs) and closure (sums that stay
-    in the component stay in the subset), checked exhaustively."""
+    in the component stay in the subset), checked exhaustively.  The members
+    must be dots of the component; another member raises ValueError.
+
+    Both loops run on the params' dot code map (``rootsys.dot_codes``): the
+    negative of a dot and the sum of two members are found by negating or
+    adding codes and looking the result up in the component's dots, zero
+    included."""
     v = Verdict()
-    ambient = dot_roots_0(dp.params, dp.component)
-    for dot in sorted(ambient, key=RootVector.key):
-        v.record(
-            dot in dp.members or -dot in dp.members,
-            f"cover on component {dp.component}",
-            lambda: f"{dot}",
-        )
-    members = dp.sorted_members()
-    for idx, a in enumerate(members):
-        for b in members[idx:]:
-            c = a + b
-            if c in ambient:
-                v.record(
-                    c in dp.members,
-                    f"closure on component {dp.component}",
-                    lambda: f"{a} + {b} = {c}",
-                )
+    i = dp.component
+    ambient = dot_roots_0(dp.params, i)
+    if not dp.members <= ambient:
+        outside = sorted(dp.members - ambient, key=RootVector.key)
+        raise ValueError(f"members outside component {i}: {outside}")
+    code = dot_codes(dp.params).code
+    by_code = {code[d]: d for d in sorted(ambient, key=RootVector.key)}
+    inside = {code[d] for d in dp.members}
+    for c, dot in by_code.items():
+        v.record(c in inside or -c in inside, f"cover on component {i}", lambda: f"{dot}")
+    members = [(code[d], d) for d in dp.sorted_members()]
+    for idx, (ca, a) in enumerate(members):
+        for cb, b in members[idx:]:
+            cc = ca + cb
+            c = by_code.get(cc)
+            if c is not None:
+                v.record(cc in inside, f"closure on component {i}",
+                         lambda: f"{a} + {b} = {c}")
     return v
 
 
@@ -287,11 +296,9 @@ def _shifted(
     """``shifted_full``, its real part ``shifted_real``, and a linear integer
     code for each element of ``shifted_real``; built once per params.
 
-    The code of v is the sum of its eps, del and dc coordinates c_i times
-    2^(w*i), with 2^w above four times the largest coordinate of the slice.
-    A signed sum of at most four slice elements then has code 0 only when it
-    is 0 (read the code modulo 2^w, one coordinate at a time), so
-    code(v) - code(a) == code(b) exactly when v - a == b.
+    The codes are ``rootsys.linear_codes`` of the eps, del and dc
+    coordinates, with one width for the whole slice, so code(v) - code(a) ==
+    code(b) exactly when v - a == b.
     """
     inv = r_invariants(p)
     full = tuple(
@@ -300,10 +307,8 @@ def _shifted(
         for res in inv.per_dot[dot].residues_mod_global
     )
     real = tuple(v for v in full if shape_of(v.dot_part()) in REAL_SHAPES)
-    coords = [v.eps + v.dels + (v.dc,) for v in real]
-    w = (4 * max((abs(c) for cs in coords for c in cs), default=0)).bit_length()
-    codes = {v: sum(c << (w * i) for i, c in enumerate(cs)) for v, cs in zip(real, coords)}
-    return full, real, codes
+    codes = linear_codes([v.eps + v.dels + (v.dc,) for v in real])
+    return full, real, dict(zip(real, codes))
 
 
 def _split_witness(

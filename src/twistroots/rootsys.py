@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .families import AffineFamily, AlgebraParams, InvalidParamsError, valid_params
 from .lattice import AmbientMismatchError, RootVector, norm
@@ -51,6 +51,9 @@ __all__ = [
     "dot_roots_0",
     "real_dot_roots",
     "ns_dot_roots",
+    "linear_codes",
+    "DotCodes",
+    "dot_codes",
     "s_set",
     "s_set_0",
     "even_s_set",
@@ -170,6 +173,45 @@ def ns_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
         d for d in sorted(root_table(p), key=RootVector.key)
         if not d.is_zero and shape_of(d) is Shape.MIXED
     )
+
+
+def linear_codes(coords: list[tuple[int, ...]]) -> list[int]:
+    """The linear integer code of each coordinate tuple (c_0, c_1, ...): the
+    sum of c_i * 2^(w*i), with 2^w above four times the largest |c_i| over
+    all the tuples.
+
+    A signed sum of at most four coded tuples has code 0 only when it is 0
+    (read the code modulo 2^w, one coordinate at a time), so code(a) +
+    code(b) == code(c) exactly when a + b == c, and code(-a) == -code(a)."""
+    w = (4 * max((abs(c) for cs in coords for c in cs), default=0)).bit_length()
+    return [sum(c << (w * i) for i, c in enumerate(cs)) for cs in coords]
+
+
+class DotCodes(NamedTuple):
+    """The dots of ``root_table(p)`` under their ``linear_codes`` over the eps
+    and del coordinates: ``code`` maps each dot to its code, ``by_code``
+    each code to the dot, in canonical order, and ``real`` is the part of
+    ``by_code`` over ``real_dot_roots(p)``, in its order.  The dots are the
+    table's own objects."""
+
+    code: Mapping[RootVector, int]
+    by_code: Mapping[int, RootVector]
+    real: Mapping[int, RootVector]
+
+
+# One params at a time, like the generator slice: the closure loops walk the
+# params one by one.
+@lru_cache(maxsize=1)
+def dot_codes(p: AlgebraParams) -> DotCodes:
+    """The code map of ``p``'s dots, built once per params in O(n).  Sums
+    and negatives of dots are found by adding and negating codes and
+    looking the result up, with no ``RootVector`` arithmetic."""
+    dots = sorted(root_table(p), key=RootVector.key)
+    codes = linear_codes([d.eps + d.dels for d in dots])
+    code = dict(zip(dots, codes))
+    real = {code[d]: d for d in real_dot_roots(p)}
+    return DotCodes(MappingProxyType(code), MappingProxyType(dict(zip(codes, dots))),
+                    MappingProxyType(real))
 
 
 def component_empty(p: AlgebraParams, i: int) -> bool:
@@ -403,14 +445,17 @@ def _squared_length(dot: RootVector) -> int:
 def _component_sums(p: AlgebraParams, i: int):
     """(a, b, a + b) with squared lengths (la, lb, lc), for every ordered pair
     of nonzero dots of component i, in canonical order, whose sum is a nonzero
-    dot of the component."""
-    table = even_table(p, i)
-    nonzero = [d for d in sorted(table, key=RootVector.key) if not d.is_zero]
-    for a in nonzero:
-        for b in nonzero:
-            c = a + b
-            if not c.is_zero and c in table:
-                yield a, b, c, _squared_length(a), _squared_length(b), _squared_length(c)
+    dot of the component.  Sums are found on the dot codes, and every dot
+    yielded is the table's own object."""
+    code = dot_codes(p).code
+    nonzero = [(code[d], d, _squared_length(d))
+               for d in sorted(even_table(p, i), key=RootVector.key) if not d.is_zero]
+    by_code = {entry[0]: entry for entry in nonzero}
+    for ca, a, la in nonzero:
+        for cb, b, lb in nonzero:
+            hit = by_code.get(ca + cb)
+            if hit is not None:
+                yield a, b, hit[1], la, lb, hit[2]
 
 
 def check_sum_property(p: AlgebraParams, i: int) -> Verdict:

@@ -14,7 +14,7 @@ from random import Random
 from .families import AlgebraParams
 from .lattice import RootVector
 from .parabolic import Functional
-from .rootsys import doubling_pairs, real_dot_roots
+from .rootsys import dot_codes, doubling_pairs, real_dot_roots
 from .shadow import (
     FULL_IN,
     FULL_LN,
@@ -91,19 +91,18 @@ def _closure_break_targets(p: AlgebraParams) -> tuple[RootVector, ...]:
     where flipping a+b to fully-in from an all-fully-ln baseline passes
     validation but breaks closure: the sum must not be the double of an odd
     class nor an odd class with a root double.  A sum is listed once per pair,
-    so a uniform draw weights it by its pairs.  Cached per params; every sum is
-    the real dot object itself, not a copy of it."""
-    reals = real_dot_roots(p)
-    canonical = {d: d for d in reals}
-    protected = set()
-    for dot, doubled in doubling_pairs(p):
-        protected.add(doubled)
-        protected.add(dot)
+    so a uniform draw weights it by its pairs.  Cached per params; sums are
+    found on the dot codes, and every sum is the real dot object itself, not
+    a copy of it."""
+    codes = dot_codes(p)
+    real = codes.real
+    protected = {codes.code[d] for pair in doubling_pairs(p) for d in pair}
     out = []
-    for a in reals:
-        for b in reals:
-            c = canonical.get(a + b)
-            if c is not None and c not in protected and -c not in protected:
+    for ca in real:
+        for cb in real:
+            cc = ca + cb
+            c = real.get(cc)
+            if c is not None and cc not in protected and -cc not in protected:
                 out.append(c)
     return tuple(out)
 

@@ -32,6 +32,7 @@ from .reporting import Verdict
 from .rootsys import (
     RootClass,
     classify,
+    dot_codes,
     doubling_pairs,
     even_table,
     real_dot_roots,
@@ -211,20 +212,24 @@ def validate(cfg: ShadowConfig) -> Verdict:
     classes whose double is again a class: a fully-ln or fully-in odd class
     doubles to a class of the same kind, a hybrid one imposes no constraint."""
     v = Verdict()
-    classes = set(real_dot_roots(cfg.params))
-    v.record(set(cfg.states) == classes, "states total on real classes",
-             f"{len(cfg.states)} states for {len(classes)} classes")
+    real = dot_codes(cfg.params).real
+    states = cfg.states
+    v.record(len(states) == len(real) and all(map(states.__contains__, real.values())),
+             "states total on real classes",
+             f"{len(states)} states for {len(real)} classes")
     if not v.ok:
         return v
-    for dot in sorted(classes, key=RootVector.key):
-        rep = canonical_rep(dot)
-        if dot != rep:
-            continue
-        a, b = cfg.states[rep], cfg.states[-rep]
+    seen = set()
+    for c, rep in real.items():
+        seen.add(c)
+        if -c not in seen:
+            continue  # the anchor of a +- pair is the later one in canonical order
+        neg = real[-c]
+        a, b = states[rep], states[neg]
         v.record(
             a.is_hybrid == b.is_hybrid and (not a.is_hybrid or a.profile == b.profile),
             "hybrid states are +-symmetric with a shared profile",
-            lambda: f"{rep}: {a.kind.value} vs {-rep}: {b.kind.value}",
+            lambda: f"{rep}: {a.kind.value} vs {neg}: {b.kind.value}",
         )
     for dot, doubled in doubling_pairs(cfg.params):
         st, st2 = cfg.states[dot], cfg.states[doubled]
@@ -311,15 +316,23 @@ class ParabolicSet:
 
     cfg: ShadowConfig
 
+    def __post_init__(self) -> None:
+        # A plain attribute, not a field, like Functional._den: whether each
+        # real class lies in the set, keyed by its dot code, in canonical
+        # order.  A class lies in the set unless it is fully-in with a
+        # negative that is not.  This is the one membership route.
+        codes = dot_codes(self.cfg.params)
+        states = self.cfg.states
+        kinds = {c: states[d].kind for c, d in codes.real.items()}
+        object.__setattr__(self, "_code", codes.code)
+        object.__setattr__(self, "_inside", {
+            c: kind is not StateKind.FULL_IN or kinds[-c] is StateKind.FULL_IN
+            for c, kind in kinds.items()})
+
     def contains_class(self, dot: RootVector) -> bool:
         """Whether the whole real class over ``dot`` lies in the set (membership
         is constant on classes)."""
-        states = self.cfg.states
-        return (
-            states[dot].kind is StateKind.FULL_LN
-            or states[-dot].kind is StateKind.FULL_IN
-            or states[dot].is_hybrid
-        )
+        return self._inside[self._code[dot]]
 
     def __contains__(self, v: RootVector) -> bool:
         info = classify(self.cfg.params, v) if not v.is_zero else None
@@ -338,37 +351,42 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     of their roots sum to a coefficient of a real class outside the set.  The
     witness names the smallest nonnegative such m and n.  ``mmax`` does not
     change the verdict.
+
+    The loops run on the params' dot code map (``rootsys.dot_codes``):
+    membership is decided once per class, the sum of two classes is found by
+    adding their codes and looking the sum up, and the zero dot is code 0.
     """
     v = Verdict()
     p = cfg.params
-    pset = ParabolicSet(cfg)
+    inside = ParabolicSet(cfg)._inside
+    codes = dot_codes(p)
+    real = codes.real
     table = root_table(p)
-    real_dots = real_dot_roots(p)
-    real_set = set(real_dots)
 
-    for dot in real_dots:
+    for c, dot in real.items():
         v.record(
-            pset.contains_class(dot) or pset.contains_class(-dot),
+            inside[c] or inside[-c],
             "cover: every real class meets the set or its negative",
             lambda: f"class {dot}",
         )
 
-    member_dots = [d for d in real_dots if pset.contains_class(d)]
-    zero = next(d for d in table if d.is_zero)
-    member_dots.append(zero)  # the imaginary line belongs to the set
-    for idx, a in enumerate(member_dots):
-        for b in member_dots[idx:]:
-            c = a + b
-            if c not in real_set:
+    members = [(c, d, table[d]) for c, d in real.items() if inside[c]]
+    zero = codes.by_code[0]
+    members.append((0, zero, table[zero]))  # the imaginary line belongs to the set
+    for idx, (ca, a, sa) in enumerate(members):
+        for cb, b, sb in members[idx:]:
+            cc = ca + cb
+            c = real.get(cc)
+            if c is None:
                 # sums into the imaginary line stay in the set; nonsingular
                 # sums and non-roots lie outside the real+imaginary part
                 continue
-            wit = table[a].sum_witness(table[b], table[c])
+            wit = sa.sum_witness(sb, table[c])
             if wit is None:
                 continue
             m, n = wit
             v.record(
-                pset.contains_class(c),
+                inside[cc],
                 "closure: sums of set members stay in the set",
                 lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}",
             )

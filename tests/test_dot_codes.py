@@ -1,0 +1,251 @@
+"""The per-params dot code map and the closure loops that run on it.
+
+Each loop that finds sums and negatives of dots on ``rootsys.dot_codes`` is
+checked against a reference kept here: the ``RootVector``-addition loop it
+replaced, as ``brute_check_parabolic`` is kept for ``check_parabolic``.
+"""
+
+from random import Random
+
+import pytest
+
+from twistroots import rootsys as rs
+from twistroots.lattice import RootVector
+from twistroots.parabolic import (
+    DotParabolic,
+    dot_parabolic_from_config,
+    induced_dot_parabolic,
+    is_parabolic,
+)
+from twistroots.reporting import Verdict
+from twistroots.sampling import (
+    _closure_break_targets,
+    adversarial_config,
+    adversarial_kinds,
+    random_functional,
+    random_tight_config,
+)
+from twistroots.shadow import (
+    ParabolicSet,
+    StateKind,
+    canonical_rep,
+    check_parabolic,
+    validate,
+)
+
+PARAMS = list(rs.valid_params(3, 3))
+
+
+# --- references: the RootVector-addition loops -----------------------------------
+
+
+def ref_contains_class(cfg, dot):
+    states = cfg.states
+    return (states[dot].kind is StateKind.FULL_LN or states[-dot].kind is StateKind.FULL_IN
+            or states[dot].is_hybrid)
+
+
+def ref_check_parabolic(cfg):
+    v = Verdict()
+    p = cfg.params
+    table = rs.root_table(p)
+    real_dots = rs.real_dot_roots(p)
+    real_set = set(real_dots)
+    for dot in real_dots:
+        v.record(ref_contains_class(cfg, dot) or ref_contains_class(cfg, -dot),
+                 "cover: every real class meets the set or its negative",
+                 lambda: f"class {dot}")
+    member_dots = [d for d in real_dots if ref_contains_class(cfg, d)]
+    member_dots.append(next(d for d in table if d.is_zero))
+    for idx, a in enumerate(member_dots):
+        for b in member_dots[idx:]:
+            c = a + b
+            if c not in real_set:
+                continue
+            wit = table[a].sum_witness(table[b], table[c])
+            if wit is None:
+                continue
+            m, n = wit
+            v.record(ref_contains_class(cfg, c), "closure: sums of set members stay in the set",
+                     lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
+    return v
+
+
+def ref_is_parabolic(dp):
+    v = Verdict()
+    ambient = rs.dot_roots_0(dp.params, dp.component)
+    for dot in sorted(ambient, key=RootVector.key):
+        v.record(dot in dp.members or -dot in dp.members,
+                 f"cover on component {dp.component}", lambda: f"{dot}")
+    members = dp.sorted_members()
+    for idx, a in enumerate(members):
+        for b in members[idx:]:
+            c = a + b
+            if c in ambient:
+                v.record(c in dp.members, f"closure on component {dp.component}",
+                         lambda: f"{a} + {b} = {c}")
+    return v
+
+
+def ref_validate(cfg):
+    v = Verdict()
+    classes = set(rs.real_dot_roots(cfg.params))
+    v.record(set(cfg.states) == classes, "states total on real classes",
+             f"{len(cfg.states)} states for {len(classes)} classes")
+    if not v.ok:
+        return v
+    for dot in sorted(classes, key=RootVector.key):
+        rep = canonical_rep(dot)
+        if dot != rep:
+            continue
+        a, b = cfg.states[rep], cfg.states[-rep]
+        v.record(a.is_hybrid == b.is_hybrid and (not a.is_hybrid or a.profile == b.profile),
+                 "hybrid states are +-symmetric with a shared profile",
+                 lambda: f"{rep}: {a.kind.value} vs {-rep}: {b.kind.value}")
+    for dot, doubled in rs.doubling_pairs(cfg.params):
+        st, st2 = cfg.states[dot], cfg.states[doubled]
+        if st.is_hybrid:
+            v.record(True, "hybrid odd class imposes no doubling constraint")
+        else:
+            part = "ln" if st.kind is StateKind.FULL_LN else "in"
+            v.record(st2.kind is st.kind,
+                     f"fully-{part} odd class doubles to a fully-{part} class",
+                     lambda: f"{dot} {st.kind.value} but {doubled} {st2.kind.value}")
+    return v
+
+
+def ref_component_sums(p, i):
+    table = rs.even_table(p, i)
+    nonzero = [d for d in sorted(table, key=RootVector.key) if not d.is_zero]
+    for a in nonzero:
+        for b in nonzero:
+            c = a + b
+            if not c.is_zero and c in table:
+                yield a, b, c, abs(rs.norm(a)), abs(rs.norm(b)), abs(rs.norm(c))
+
+
+def ref_closure_break_targets(p):
+    reals = rs.real_dot_roots(p)
+    canonical = {d: d for d in reals}
+    protected = set()
+    for dot, doubled in rs.doubling_pairs(p):
+        protected.add(doubled)
+        protected.add(dot)
+    out = []
+    for a in reals:
+        for b in reals:
+            c = canonical.get(a + b)
+            if c is not None and c not in protected and -c not in protected:
+                out.append(c)
+    return tuple(out)
+
+
+# --- the code map -------------------------------------------------------------------
+
+
+def test_codes_add_and_negate_like_the_dots():
+    for p in PARAMS:
+        codes = rs.dot_codes(p)
+        dots = list(rs.root_table(p))
+        assert list(codes.by_code.values()) == sorted(dots, key=RootVector.key)
+        assert len(codes.code) == len(dots)
+        for a in dots:
+            ca = codes.code[a]
+            assert codes.code[-a] == -ca
+            assert codes.by_code[ca] is a
+            for b in dots:
+                got = codes.by_code.get(ca + codes.code[b])
+                assert got == (a + b if a + b in codes.code else None), (p, a, b)
+        real = rs.real_dot_roots(p)
+        assert list(codes.real) == [codes.code[d] for d in real]
+        assert all(x is y for x, y in zip(codes.real.values(), real, strict=True))
+
+
+def test_linear_codes_width_and_zero():
+    assert rs.linear_codes([]) == []
+    assert rs.linear_codes([(0, 0)]) == [0]
+    # largest |c| is 3, so 2^w > 12 gives w = 4
+    assert rs.linear_codes([(1, -3), (0, 1)]) == [1 - (3 << 4), 1 << 4]
+
+
+# --- the loops against their references -----------------------------------------------
+
+
+def _configs(p, seed):
+    rng = Random(seed)
+    out = [random_tight_config(p, rng)[0] for _ in range(2)]
+    out += [adversarial_config(p, rng, kind) for kind in adversarial_kinds(p)]
+    return out
+
+
+def test_closure_loops_match_the_references():
+    failures = {"check_parabolic": 0, "validate": 0, "is_parabolic": 0}
+    for p in PARAMS:
+        comps = [i for i in (1, 2) if not rs.component_empty(p, i)]
+        for cfg in _configs(p, 31):
+            for name, fn, ref in (("check_parabolic", check_parabolic, ref_check_parabolic),
+                                  ("validate", validate, ref_validate)):
+                got = fn(cfg).to_json()
+                assert got == ref(cfg).to_json(), (p, name)
+                failures[name] += len(got["failures"])
+            pset = ParabolicSet(cfg)
+            assert all(pset.contains_class(d) == ref_contains_class(cfg, d)
+                       for d in rs.real_dot_roots(p))
+            for i in comps:
+                dp = dot_parabolic_from_config(cfg, i)
+                got = is_parabolic(dp).to_json()
+                assert got == ref_is_parabolic(dp).to_json(), (p, i)
+                failures["is_parabolic"] += len(got["failures"])
+    assert min(failures.values()) > 0, failures
+
+
+def test_is_parabolic_matches_the_reference_on_mutated_traces():
+    rng = Random(37)
+    for p in PARAMS:
+        for i in (1, 2):
+            if rs.component_empty(p, i):
+                continue
+            dp = induced_dot_parabolic(p, i, random_functional(p, rng))
+            nonzero = [d for d in dp.sorted_members() if not d.is_zero]
+            drop = set(rng.sample(nonzero, min(2, len(nonzero))))
+            for members in (dp.members, dp.members - drop, frozenset()):
+                mutated = DotParabolic(p, i, members)
+                assert is_parabolic(mutated).to_json() == ref_is_parabolic(mutated).to_json()
+
+
+def test_is_parabolic_refuses_members_outside_the_component():
+    p = PARAMS[-1]
+    dp = induced_dot_parabolic(p, 1, random_functional(p, Random(3)))
+    odd = next(d for d in rs.real_dot_roots(p) if d not in rs.dot_roots_0(p, 1))
+    with pytest.raises(ValueError, match="outside component 1"):
+        is_parabolic(DotParabolic(p, 1, dp.members | {odd}))
+
+
+def test_component_sums_and_break_targets_match_the_references():
+    for p in PARAMS:
+        for i in (1, 2):
+            own = {id(d) for d in rs.even_table(p, i)}
+            got = list(rs._component_sums(p, i))
+            assert got == list(ref_component_sums(p, i)), (p, i)
+            assert all(id(c) in own for _, _, c, *_ in got)
+        targets = _closure_break_targets.__wrapped__(p)
+        assert targets == ref_closure_break_targets(p), p
+        assert {id(c) for c in targets} <= {id(d) for d in rs.real_dot_roots(p)}
+
+
+def test_warm_closure_loops_do_no_vector_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("RootVector arithmetic")
+
+    for p in PARAMS[::7]:
+        rng = Random(41)
+        cfgs = [random_tight_config(p, rng)[0] for _ in range(3)]
+        dps = [dot_parabolic_from_config(cfg, i) for cfg in cfgs
+               for i in (1, 2) if not rs.component_empty(p, i)]
+        with monkeypatch.context() as patched:
+            patched.setattr(RootVector, "__add__", refuse)
+            patched.setattr(RootVector, "__neg__", refuse)
+            for cfg in cfgs:
+                assert validate(cfg).ok and check_parabolic(cfg).ok
+            for dp in dps:
+                assert is_parabolic(dp).ok
