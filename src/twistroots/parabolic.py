@@ -28,7 +28,6 @@ from .rootsys import (
     even_table,
     linear_codes,
     r_invariants,
-    real_dot_roots,
 )
 from .shadow import ParabolicSet, ShadowConfig, StateKind
 from .tables import REAL_SHAPES, shape_of
@@ -217,9 +216,11 @@ def synthesize_functional(dp: DotParabolic) -> Functional:
     half-space trace fails it, which is surfaced as InfeasibleSystemError.
     """
     p, i = dp.params, dp.component
+    code = dot_codes(p).code
+    members = {code[d]: d for d in dp.members if d in code}  # a non-dot fails recovery
     s = [0] * (p.k if i == 2 else p.l)
-    for dot in dp.members:
-        if -dot not in dp.members:
+    for c, dot in members.items():
+        if -c not in members:
             s = [a + b for a, b in zip(s, dot.eps if i == 2 else dot.dels)]
     coeffs = tuple(Fraction(c) for c in s)
     zeta = (
@@ -273,8 +274,9 @@ def check_positivity_alignment(cfg: ShadowConfig, zeta: Functional, mmax: int = 
         raise ValueError("the functional must vanish on delta")
     v = Verdict()
     states = cfg.states
-    for dot in real_dot_roots(cfg.params):
-        rhs = states[dot].kind is StateKind.FULL_LN and states[-dot].kind is StateKind.FULL_IN
+    real = dot_codes(cfg.params).real
+    for c, dot in real.items():
+        rhs = states[dot].kind is StateKind.FULL_LN and states[real[-c]].kind is StateKind.FULL_IN
         lhs = zeta.evaluate(dot) > 0
         v.record(
             lhs == rhs,

@@ -61,20 +61,24 @@ def config_from_functional(
     p: AlgebraParams, zeta: Functional, rng: Random, mmax: int = 8
 ) -> ShadowConfig:
     """Fully-ln on positive classes, fully-in on negative ones, a shared random
-    hybrid profile on each zero pair."""
+    hybrid profile on each zero pair, decided at the later dot of the pair."""
     states: dict[RootVector, ClassState] = {}
-    for dot in real_dot_roots(p):
-        if dot != canonical_rep(dot):
-            continue
+    real = dot_codes(p).real
+    seen = set()
+    for c, dot in real.items():
+        seen.add(c)
+        if -c not in seen:
+            continue  # the anchor of a +- pair is the later one in canonical order
+        neg = real[-c]
         val = zeta.evaluate(dot)
         if val > 0:
-            states[dot], states[-dot] = FULL_LN, FULL_IN
+            states[dot], states[neg] = FULL_LN, FULL_IN
         elif val < 0:
-            states[dot], states[-dot] = FULL_IN, FULL_LN
+            states[dot], states[neg] = FULL_IN, FULL_LN
         else:
             prof = random_profile(rng, mmax)
             states[dot] = prof
-            states[-dot] = prof
+            states[neg] = prof
     return ShadowConfig(p, states)
 
 

@@ -481,6 +481,25 @@ def test_document_inputs_never_escape_main(tmp_path, root, functional, config):
             assert err.startswith("error:") and err.endswith("\n"), (argv, err)
 
 
+_COUNT_FLAGS = ("mmax", "configs", "adversarial", "functionals", "roundtrip")
+
+
+@settings(max_examples=40, deadline=None)
+@given(counts=st.fixed_dictionaries({flag: st.integers(0, 3) for flag in _COUNT_FLAGS}),
+       negative=st.sampled_from(_COUNT_FLAGS), below=st.integers(-10**12, -1))
+def test_negative_count_flags_give_one_error_line(counts, negative, below):
+    # One flag is negative and the others are small, so each refusal is
+    # tested alone and a missed one fails fast.
+    counts[negative] = below
+    base = ["--family", "a-even-2", "--k", "1", "--l", "1"]
+    flags = [arg for flag, n in counts.items() for arg in (f"--{flag}", str(n))]
+    for argv in (["verify", *base, *flags], ["roots", *base, "--mmax", str(below)]):
+        rc, out, err = _main_inprocess(argv)
+        assert (rc, out) == (1, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), (argv, err)
+        assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("family,k,l", [
     ("a-even-2", 0, 1), ("a-odd-2", 1, 2), ("a-4", 1, 1), ("d-2", 2, 2)])
 def test_tables_csv_rows_are_the_root_and_even_tables(family, k, l):

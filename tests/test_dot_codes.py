@@ -1,7 +1,7 @@
 """The per-params dot code map and the closure loops that run on it.
 
 Each loop that finds sums and negatives of dots on ``rootsys.dot_codes`` is
-checked against a reference kept here: the ``RootVector``-addition loop it
+checked against a reference kept here: the ``RootVector``-arithmetic loop it
 replaced, as ``brute_check_parabolic`` is kept for ``check_parabolic``.
 """
 
@@ -13,20 +13,28 @@ from twistroots import rootsys as rs
 from twistroots.lattice import RootVector
 from twistroots.parabolic import (
     DotParabolic,
+    Functional,
+    check_positivity_alignment,
     dot_parabolic_from_config,
     induced_dot_parabolic,
     is_parabolic,
+    synthesize_functional,
 )
 from twistroots.reporting import Verdict
 from twistroots.sampling import (
     _closure_break_targets,
     adversarial_config,
     adversarial_kinds,
+    config_from_functional,
     random_functional,
+    random_profile,
     random_tight_config,
 )
 from twistroots.shadow import (
+    FULL_IN,
+    FULL_LN,
     ParabolicSet,
+    ShadowConfig,
     StateKind,
     canonical_rep,
     check_parabolic,
@@ -51,10 +59,6 @@ def ref_check_parabolic(cfg):
     table = rs.root_table(p)
     real_dots = rs.real_dot_roots(p)
     real_set = set(real_dots)
-    for dot in real_dots:
-        v.record(ref_contains_class(cfg, dot) or ref_contains_class(cfg, -dot),
-                 "cover: every real class meets the set or its negative",
-                 lambda: f"class {dot}")
     member_dots = [d for d in real_dots if ref_contains_class(cfg, d)]
     member_dots.append(next(d for d in table if d.is_zero))
     for idx, a in enumerate(member_dots):
@@ -112,6 +116,23 @@ def ref_validate(cfg):
                      f"fully-{part} odd class doubles to a fully-{part} class",
                      lambda: f"{dot} {st.kind.value} but {doubled} {st2.kind.value}")
     return v
+
+
+def ref_config_from_functional(p, zeta, rng):
+    states = {}
+    for dot in rs.real_dot_roots(p):
+        if dot != canonical_rep(dot):
+            continue
+        val = zeta.evaluate(dot)
+        if val > 0:
+            states[dot], states[-dot] = FULL_LN, FULL_IN
+        elif val < 0:
+            states[dot], states[-dot] = FULL_IN, FULL_LN
+        else:
+            prof = random_profile(rng)
+            states[dot] = prof
+            states[-dot] = prof
+    return ShadowConfig(p, states)
 
 
 def ref_component_sums(p, i):
@@ -199,6 +220,31 @@ def test_closure_loops_match_the_references():
     assert min(failures.values()) > 0, failures
 
 
+def test_cover_holds_by_construction():
+    # check_parabolic records no cover case: every real class or its negative
+    # lies in the set, on every config the set is built from.
+    for p in PARAMS:
+        for cfg in _configs(p, 43):
+            pset = ParabolicSet(cfg)
+            assert all(pset.contains_class(d) or pset.contains_class(-d)
+                       for d in rs.real_dot_roots(p)), p
+
+
+def test_config_from_functional_matches_the_reference():
+    hybrids = 0
+    for p in PARAMS:
+        zetas = [random_functional(p, Random(seed)) for seed in range(4)]
+        zetas.append(Functional.zero(p.k, p.l))  # every pair is a zero pair
+        for seed, zeta in enumerate(zetas):
+            rng, ref_rng = Random(seed), Random(seed)
+            got = config_from_functional(p, zeta, rng)
+            want = ref_config_from_functional(p, zeta, ref_rng)
+            assert list(got.states.items()) == list(want.states.items()), (p, seed)
+            assert rng.getstate() == ref_rng.getstate(), (p, seed)
+            hybrids += sum(st.is_hybrid for st in got.states.values())
+    assert hybrids > 0
+
+
 def test_is_parabolic_matches_the_reference_on_mutated_traces():
     rng = Random(37)
     for p in PARAMS:
@@ -239,13 +285,17 @@ def test_warm_closure_loops_do_no_vector_arithmetic(monkeypatch):
 
     for p in PARAMS[::7]:
         rng = Random(41)
-        cfgs = [random_tight_config(p, rng)[0] for _ in range(3)]
+        seeded = [random_tight_config(p, rng) for _ in range(3)]
+        cfgs = [cfg for cfg, _ in seeded]
         dps = [dot_parabolic_from_config(cfg, i) for cfg in cfgs
                for i in (1, 2) if not rs.component_empty(p, i)]
         with monkeypatch.context() as patched:
             patched.setattr(RootVector, "__add__", refuse)
             patched.setattr(RootVector, "__neg__", refuse)
-            for cfg in cfgs:
+            for cfg, zeta in seeded:
                 assert validate(cfg).ok and check_parabolic(cfg).ok
+                assert check_positivity_alignment(cfg, zeta).ok
+                assert config_from_functional(p, zeta, Random(5)).params == p
             for dp in dps:
                 assert is_parabolic(dp).ok
+                assert induced_dot_parabolic(p, dp.component, synthesize_functional(dp)) == dp

@@ -229,31 +229,31 @@ EXPECTED = {
     "shadow-validate-seeded-ae":
         "d5f0a44250ebecf9fdd6df6ae86c40ff42ec4ca70c15e6dd15ad3dc9d04aa252",
     "shadow-derive-p-seeded-ae":
-        "0128cbc10efb82cd5a2a41d0cae361863a0a3b961d2d4e5e8f7dc7afc9128654",
+        "785c4126f512fe7ed3f65b5e1401e9af0c1102115c2262943551ff3228003ddb",
     "parabolic-synth-seeded-ae":
         "6bf32a8dcc7d31c16fa97833458d3bb982d5df469016da2b3fe96e3b0d69cc93",
     "shadow-validate-seeded-ae0":
         "25e091fcbf225c9c6901446a99b89a0d106be3b96bc81fc3904d941eebab3962",
     "shadow-derive-p-seeded-ae0":
-        "f794899bf7ff9a9426aa5969a4aef9ca286f21dff2f6362bf74474de37887946",
+        "043ca7c0316dd76e61bd652fb934c8528b9a87ae0e7062329619799678fc372b",
     "parabolic-synth-seeded-ae0":
         "0664116179e07ba969ed74275547b8671b75b26692de922d6d76c5befe57ea79",
     "shadow-validate-seeded-a4":
         "dc84109464618a1b33254d1dbcd7909042f6121a54109a83d183b5661493d47d",
     "shadow-derive-p-seeded-a4":
-        "9fc99e40fa9df815b504d9ce509a52628596ec3c118ef07caf3f30d366711b00",
+        "9e122dc547ba397e91feb503c788d6fdc86e25f63d1d3b7d97e20eba1ef6e21a",
     "parabolic-synth-seeded-a4":
         "c0318f6fe9037d8fcb733d265e54795ed9f960e06225f80e51d28c2ac3197404",
     "shadow-validate-seeded-d2":
         "dc84109464618a1b33254d1dbcd7909042f6121a54109a83d183b5661493d47d",
     "shadow-derive-p-seeded-d2":
-        "fb80013c2cee6775bb276eb4a9916d4a1178c33cfc5111a94fdb560a9f89a01b",
+        "0f1134f5e8cff7ea811c1725e457009ad05566162117bac42f33466b859ae2e2",
     "parabolic-synth-seeded-d2":
         "4f387bac03dc1af81c0dd5a4507ba18079b6bca528ad3a76f2e65ddcf22abcaf",
     "shadow-validate-all-ln-ae":
         "d5f0a44250ebecf9fdd6df6ae86c40ff42ec4ca70c15e6dd15ad3dc9d04aa252",
     "shadow-derive-p-all-ln-ae":
-        "2f43d177f325e843efb46876c222eb7ab109324f4edeb3c7ce9b39c01fb6b56d",
+        "89e5a4c23e56c13e8a1cea8257643ab7c5990576815bedb787ece197c6af60f7",
     "parabolic-synth-all-ln-ae":
         "bad1de9282fa3dd341a828d26836f973022b6862c3e76e657224f049373e70db",
     "shadow-validate-broken-doubling-ae":
@@ -263,9 +263,9 @@ EXPECTED = {
     "parabolic-synth-broken-doubling-ae":
         "68de0f095b9ed42217f8ae9d691bff58598f495ddda0e7a91bf78aac845914fd",
     "shadow-derive-p-broken-closure-ae":
-        "a026e49d6b133580fa5b6b59a08923a2fde7951c0e9fae68d2496179f51ed7d5",
+        "86c20c5064c8c1c4929a2b53d4a780d416f98d0e6ac1024361f94f65590dae87",
     "shadow-derive-p-broken-closure-d2":
-        "aaeda863ffc3a64adef83a735a9139f0bcf60cb52075aa197044c0770cdf34f6",
+        "51b892d63e1e74a789cf92b59d106b2b9dbe65a1207de20d0a89a23400f4ecad",
     "phi-pi-ae":
         "060586d87c82ca91145417e7dfd6c67180c85b7ca6ff5af102ad5a93363fbd6a",
     "phi-pi-a4":
@@ -279,11 +279,11 @@ EXPECTED = {
     "decompose-not-positive":
         "809223612e1e17031c64fe4d48d98f0a134ebcff4474c5687cd06315f897c290",
     "verify-ae":
-        "d91ca57933b355863f5c80f854930880e6e752c9e8106f564c63d39205e9b0b4",
+        "8609b90707173da3e5c15eaa133959fb132a32bf51b4141008737a9e81510a3b",
     "verify-d0":
-        "dd0bbae0fbcddf4abefd88ef90d546db33f2b251f41c4993cb84d6f68e044be4",
+        "e3574056deae17e5fd6cce85550355fe3f3127ba41faeaf3b82022a88ffb7f66",
     "verify-d2":
-        "4139378a41bcaed2bfa58e1aabf9c858a53248da051bea40526af33ba11b094c",
+        "b4b3c7b6a62ba7e70302d62bf725982984aa5c1e176701c50332f25a2adb7cc5",
 }
 
 

@@ -6,9 +6,16 @@ import pytest
 
 from twistroots import verify
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
+from twistroots.parabolic import InfeasibleSystemError
 from twistroots.reporting import Failure, Verdict
 from twistroots.rootsys import ClassificationBugError, Parity
-from twistroots.verify import run_all, suite_classification, suite_shadow_pipeline
+from twistroots.verify import (
+    run_all,
+    suite_classification,
+    suite_generators,
+    suite_roundtrip,
+    suite_shadow_pipeline,
+)
 
 WINDOW_IDENTITY = "shifted dot set covers the window exactly"
 
@@ -117,3 +124,35 @@ def test_window_classification_agreement_is_live(monkeypatch):
     assert rep.checks == clean.checks
     assert [f.check for f in rep.failures] == ["window classification agrees with classify"]
     assert str(wrong[0]) in rep.failures[0].witness
+
+
+def test_synthesis_failure_is_recorded_once(monkeypatch):
+    p = AlgebraParams(AffineFamily.D_2, 1, 1)
+    clean = [suite_shadow_pipeline(p, seed=9, n_configs=6, n_adversarial=4),
+             suite_roundtrip(p, seed=9, n_functionals=5)]
+
+    def infeasible(dp):
+        raise InfeasibleSystemError(f"no functional on component {dp.component}")
+
+    monkeypatch.setattr(verify, "synthesize_functional", infeasible)
+    broken = [suite_shadow_pipeline(p, seed=9, n_configs=6, n_adversarial=4),
+              suite_roundtrip(p, seed=9, n_functionals=5)]
+    for before, after in zip(clean, broken):
+        assert before.ok and after.checks == before.checks
+        assert len(after.failures) == 2 * (6 if after.suite == "shadow-pipeline" else 5)
+        assert all("feasible on component" in f.check
+                   and "no functional on component" in f.witness for f in after.failures)
+
+
+def test_decomposition_failure_is_recorded(monkeypatch):
+    p = AlgebraParams(AffineFamily.D_2, 1, 1)
+    clean = suite_generators(p, seed=9, n_functionals=3)
+
+    def refuse(target, gens):
+        raise AssertionError("decomposition does not reproduce the target")
+
+    monkeypatch.setattr(verify, "decompose_over_generators", refuse)
+    rep = suite_generators(p, seed=9, n_functionals=3)
+    assert clean.ok and rep.checks == clean.checks == len(rep.failures)
+    assert {f.check for f in rep.failures} == {"positive element decomposes over the generators"}
+    assert all(f.witness.endswith("does not reproduce the target") for f in rep.failures)
