@@ -119,6 +119,8 @@ def _cases(tmp_path):
     small = ["--configs", "3", "--adversarial", "3", "--functionals", "2",
              "--roundtrip", "3", "--mmax", "2"]
     cases["verify-ae"] = ["verify", *_base("ae"), *small]
+    cases["verify-a4"] = ["verify", *_base("a4"), *small]
+    cases["verify-ao"] = ["verify", *_base("ao"), *small]
     cases["verify-d0"] = ["verify", *_base("d0"), *small, "--seed", "4"]
     cases["verify-d2"] = ["verify", *_base("d2"), *small, "--adversarial", "9"]
     return cases
@@ -280,6 +282,10 @@ EXPECTED = {
         "809223612e1e17031c64fe4d48d98f0a134ebcff4474c5687cd06315f897c290",
     "verify-ae":
         "8609b90707173da3e5c15eaa133959fb132a32bf51b4141008737a9e81510a3b",
+    "verify-a4":
+        "4f5c4dc44f8db4f5992f1af868339db74a7930a1ca7377dca16f775949666c29",
+    "verify-ao":
+        "0272157a68454d928245378e3238051fe4dae33c290dd50429964954b0aff2cd",
     "verify-d0":
         "e3574056deae17e5fd6cce85550355fe3f3127ba41faeaf3b82022a88ffb7f66",
     "verify-d2":
