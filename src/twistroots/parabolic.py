@@ -27,7 +27,9 @@ from .rootsys import (
     dot_roots_0,
     even_table,
     linear_codes,
+    pair_sums,
     r_invariants,
+    sign_pairs,
 )
 from .shadow import ParabolicSet, ShadowConfig, StateKind
 from .tables import REAL_SHAPES, shape_of
@@ -177,10 +179,9 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
     in the component stay in the subset), checked exhaustively.  The members
     must be dots of the component; another member raises ValueError.
 
-    Both loops run on the params' dot code map (``rootsys.dot_codes``): the
-    negative of a dot and the sum of two members are found by negating or
-    adding codes and looking the result up in the component's dots, zero
-    included."""
+    Both loops run on the component's dot codes (``rootsys.dot_codes``),
+    zero included: cover once per +- pair, naming its earlier dot
+    (``rootsys.sign_pairs``), closure once per unordered pair of members."""
     v = Verdict()
     i = dp.component
     ambient = dot_roots_0(dp.params, i)
@@ -188,18 +189,12 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
         outside = sorted(dp.members - ambient, key=RootVector.key)
         raise ValueError(f"members outside component {i}: {outside}")
     code = dot_codes(dp.params).code
-    by_code = {code[d]: d for d in sorted(ambient, key=RootVector.key)}
-    inside = {code[d] for d in dp.members}
-    for c, dot in by_code.items():
-        v.record(c in inside or -c in inside, f"cover on component {i}", lambda: f"{dot}")
-    members = [(code[d], d) for d in dp.sorted_members()]
-    for idx, (ca, a) in enumerate(members):
-        for cb, b in members[idx:]:
-            cc = ca + cb
-            c = by_code.get(cc)
-            if c is not None:
-                v.record(cc in inside, f"closure on component {i}",
-                         lambda: f"{a} + {b} = {c}")
+    dots = {code[d]: (d, d in dp.members) for d in sorted(ambient, key=RootVector.key)}
+    for (_, ok), (neg, ok_neg) in sign_pairs(dots):
+        v.record(ok or ok_neg, f"cover on component {i}", lambda: f"{neg}")
+    members = {c: entry for c, entry in dots.items() if entry[1]}
+    for (a, _), (b, _), (c, ok) in pair_sums(members, dots):
+        v.record(ok, f"closure on component {i}", lambda: f"{a} + {b} = {c}")
     return v
 
 

@@ -14,7 +14,7 @@ from random import Random
 from .families import AlgebraParams
 from .lattice import RootVector
 from .parabolic import Functional
-from .rootsys import dot_codes, doubling_pairs, real_dot_roots
+from .rootsys import dot_codes, doubling_pairs, real_dot_roots, sign_pairs
 from .shadow import (
     FULL_IN,
     FULL_LN,
@@ -63,22 +63,14 @@ def config_from_functional(
     """Fully-ln on positive classes, fully-in on negative ones, a shared random
     hybrid profile on each zero pair, decided at the later dot of the pair."""
     states: dict[RootVector, ClassState] = {}
-    real = dot_codes(p).real
-    seen = set()
-    for c, dot in real.items():
-        seen.add(c)
-        if -c not in seen:
-            continue  # the anchor of a +- pair is the later one in canonical order
-        neg = real[-c]
+    for dot, neg in sign_pairs(dot_codes(p).real):
         val = zeta.evaluate(dot)
         if val > 0:
             states[dot], states[neg] = FULL_LN, FULL_IN
         elif val < 0:
             states[dot], states[neg] = FULL_IN, FULL_LN
         else:
-            prof = random_profile(rng, mmax)
-            states[dot] = prof
-            states[neg] = prof
+            states[dot] = states[neg] = random_profile(rng, mmax)
     return ShadowConfig(p, states)
 
 
@@ -95,9 +87,10 @@ def _closure_break_targets(p: AlgebraParams) -> tuple[RootVector, ...]:
     where flipping a+b to fully-in from an all-fully-ln baseline passes
     validation but breaks closure: the sum must not be the double of an odd
     class nor an odd class with a root double.  A sum is listed once per pair,
-    so a uniform draw weights it by its pairs.  Cached per params; sums are
-    found on the dot codes, and every sum is the real dot object itself, not
-    a copy of it."""
+    so a uniform draw weights it by its pairs: that weighting is part of the
+    sampler's rng stream, so this loop keeps its ordered pairs and does not
+    use ``rootsys.pair_sums``.  Cached per params; sums are found on the dot
+    codes, and every sum is the real dot object itself."""
     codes = dot_codes(p)
     real = codes.real
     protected = {codes.code[d] for pair in doubling_pairs(p) for d in pair}

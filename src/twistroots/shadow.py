@@ -10,13 +10,13 @@ Hybrid boundary semantics, with gamma := rho + m*delta anchored at the
 canonical representative rho of the pair (the lexicographically larger of the
 two signs):
 
-  case III:  on rho:  dc >= m+1 -> in,  dc <= m       -> ln
-             on -rho: dc >= t-m -> in,  dc <= t-1-m   -> ln
-  case IV:   on rho:  dc <= m-1 -> in,  dc >= m       -> ln
-             on -rho: dc <= -t-m -> in, dc >= 1-t-m   -> ln
+  case III:  dc >= m+1 -> in,  dc <= m -> ln
+  case IV:   dc <= m-1 -> in,  dc >= m -> ln
 
-Boundary membership is taken exactly at these bounds; the two halves partition
-the class, so member_ln is the complement of member_in on real roots.
+The class -rho reads the same rule through the profile re-anchored at it,
+``HybridProfile.reanchored``: (III, t-1-m, t) or (IV, 1-t-m, t).  Boundary
+membership is taken exactly at these bounds; the two halves partition the
+class, so member_ln is the complement of member_in on real roots.
 """
 
 from __future__ import annotations
@@ -35,8 +35,10 @@ from .rootsys import (
     dot_codes,
     doubling_pairs,
     even_table,
+    pair_sums,
     real_dot_roots,
     root_table,
+    sign_pairs,
 )
 
 
@@ -219,12 +221,7 @@ def validate(cfg: ShadowConfig) -> Verdict:
              f"{len(states)} states for {len(real)} classes")
     if not v.ok:
         return v
-    seen = set()
-    for c, rep in real.items():
-        seen.add(c)
-        if -c not in seen:
-            continue  # the anchor of a +- pair is the later one in canonical order
-        neg = real[-c]
+    for rep, neg in sign_pairs(real):
         a, b = states[rep], states[neg]
         v.record(
             a.is_hybrid == b.is_hybrid and (not a.is_hybrid or a.profile == b.profile),
@@ -253,11 +250,10 @@ def _require_real(cfg: ShadowConfig, v: RootVector) -> RootVector:
     return v.dot_part()
 
 
-def _hybrid_in(profile: HybridProfile, on_canonical: bool, d: int) -> bool:
-    m, t = profile.m, profile.t
+def _hybrid_in(profile: HybridProfile, d: int) -> bool:
     if profile.case is Case.III:
-        return d >= m + 1 if on_canonical else d >= t - m
-    return d <= m - 1 if on_canonical else d <= -t - m
+        return d >= profile.m + 1
+    return d <= profile.m - 1
 
 
 def member_in(cfg: ShadowConfig, v: RootVector) -> bool:
@@ -268,7 +264,8 @@ def member_in(cfg: ShadowConfig, v: RootVector) -> bool:
         return True
     if state.kind is StateKind.FULL_LN:
         return False
-    return _hybrid_in(state.profile, dot == canonical_rep(dot), v.dc)
+    profile = state.profile
+    return _hybrid_in(profile if dot == canonical_rep(dot) else profile.reanchored(), v.dc)
 
 
 def member_ln(cfg: ShadowConfig, v: RootVector) -> bool:
@@ -355,34 +352,24 @@ def check_parabolic(cfg: ShadowConfig, mmax: int = 8) -> Verdict:
     Cover holds by construction and is not recorded: a class outside the set
     is fully-in with a negative that is not, and that negative is inside.
 
-    The loops run on the params' dot code map (``rootsys.dot_codes``):
-    membership is decided once per class, the sum of two classes is found by
-    adding their codes and looking the sum up, and the zero dot is code 0.
+    One case per unordered pair of member classes (``rootsys.pair_sums``),
+    with membership decided once per class.  Only real sums are targets:
+    sums into the imaginary line stay in the set, and nonsingular sums and
+    non-roots lie outside the real+imaginary part.
     """
     v = Verdict()
-    p = cfg.params
     inside = ParabolicSet(cfg)._inside
-    codes = dot_codes(p)
-    real = codes.real
-    table = root_table(p)
-    members = [(c, d, table[d]) for c, d in real.items() if inside[c]]
+    codes = dot_codes(cfg.params)
+    table = root_table(cfg.params)
+    classes = {c: (d, table[d], inside[c]) for c, d in codes.real.items()}
+    members = {c: entry for c, entry in classes.items() if entry[2]}
     zero = codes.by_code[0]
-    members.append((0, zero, table[zero]))  # the imaginary line belongs to the set
-    for idx, (ca, a, sa) in enumerate(members):
-        for cb, b, sb in members[idx:]:
-            cc = ca + cb
-            c = real.get(cc)
-            if c is None:
-                # sums into the imaginary line stay in the set; nonsingular
-                # sums and non-roots lie outside the real+imaginary part
-                continue
-            wit = sa.sum_witness(sb, table[c])
-            if wit is None:
-                continue
-            m, n = wit
-            v.record(
-                inside[cc],
-                "closure: sums of set members stay in the set",
-                lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}",
-            )
+    members[0] = (zero, table[zero], True)  # the imaginary line belongs to the set
+    for (a, sa, _), (b, sb, _), (c, sc, ok) in pair_sums(members, classes):
+        wit = sa.sum_witness(sb, sc)
+        if wit is None:
+            continue
+        m, n = wit
+        v.record(ok, "closure: sums of set members stay in the set",
+                 lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
     return v

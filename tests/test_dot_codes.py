@@ -1,8 +1,11 @@
-"""The per-params dot code map and the closure loops that run on it.
+"""The per-params dot code map, its two walks and the loops that run on them.
 
 Each loop that finds sums and negatives of dots on ``rootsys.dot_codes`` is
 checked against a reference kept here: the ``RootVector``-arithmetic loop it
-replaced, as ``brute_check_parabolic`` is kept for ``check_parabolic``.
+replaced, as ``brute_check_parabolic`` is kept for ``check_parabolic``.  The
+pair references walk every ordered pair and return one record (a, b, passed,
+check, witness) per pair; each predicate is symmetric in a and b, so the
+loops on ``rootsys.pair_sums`` record only the pairs with a not after b.
 """
 
 from random import Random
@@ -40,11 +43,35 @@ from twistroots.shadow import (
     check_parabolic,
     validate,
 )
+from twistroots.tables import Shape
 
 PARAMS = list(rs.valid_params(3, 3))
 
 
 # --- references: the RootVector-addition loops -----------------------------------
+
+
+def assert_mirrored(records):
+    """The records of (a, b) and (b, a) have the same verdict."""
+    passed = {(a, b): ok for a, b, ok, _, _ in records}
+    assert len(passed) == len(records)
+    assert all(passed[b, a] == ok for (a, b), ok in passed.items())
+
+
+def unordered(records, order, vacuous=None, by_later=False):
+    """The verdict of the records with a not after b in ``order``, in the
+    reference's order or, with ``by_later``, in the order of b; a check with
+    no records records ``vacuous`` when given."""
+    pos = {d: i for i, d in enumerate(order)}
+    kept = [r for r in records if pos[r[0]] <= pos[r[1]]]
+    if by_later:
+        kept.sort(key=lambda r: pos[r[1]])
+    v = Verdict()
+    for _, _, ok, check, witness in kept:
+        v.record(ok, check, witness)
+    if vacuous is not None and v.checks == 0:
+        v.record(True, vacuous)
+    return v
 
 
 def ref_contains_class(cfg, dot):
@@ -54,15 +81,16 @@ def ref_contains_class(cfg, dot):
 
 
 def ref_check_parabolic(cfg):
-    v = Verdict()
+    """Records, and the member order with the zero dot last."""
     p = cfg.params
     table = rs.root_table(p)
     real_dots = rs.real_dot_roots(p)
     real_set = set(real_dots)
     member_dots = [d for d in real_dots if ref_contains_class(cfg, d)]
     member_dots.append(next(d for d in table if d.is_zero))
-    for idx, a in enumerate(member_dots):
-        for b in member_dots[idx:]:
+    out = []
+    for a in member_dots:
+        for b in member_dots:
             c = a + b
             if c not in real_set:
                 continue
@@ -70,25 +98,50 @@ def ref_check_parabolic(cfg):
             if wit is None:
                 continue
             m, n = wit
-            v.record(ref_contains_class(cfg, c), "closure: sums of set members stay in the set",
-                     lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
-    return v
+            out.append((a, b, ref_contains_class(cfg, c),
+                        "closure: sums of set members stay in the set",
+                        f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}"))
+    return out, member_dots
+
+
+def ref_cover(dp):
+    """One record (d, -d, ...) per dot of the component, naming d."""
+    ambient = sorted(rs.dot_roots_0(dp.params, dp.component), key=RootVector.key)
+    return [(d, -d, d in dp.members or -d in dp.members, f"cover on component {dp.component}",
+             f"{d}") for d in ambient], ambient
+
+
+def ref_closure(dp):
+    ambient = rs.dot_roots_0(dp.params, dp.component)
+    members = dp.sorted_members()
+    return [(a, b, a + b in dp.members, f"closure on component {dp.component}",
+             f"{a} + {b} = {a + b}") for a in members for b in members if a + b in ambient]
 
 
 def ref_is_parabolic(dp):
-    v = Verdict()
-    ambient = rs.dot_roots_0(dp.params, dp.component)
-    for dot in sorted(ambient, key=RootVector.key):
-        v.record(dot in dp.members or -dot in dp.members,
-                 f"cover on component {dp.component}", lambda: f"{dot}")
-    members = dp.sorted_members()
-    for idx, a in enumerate(members):
-        for b in members[idx:]:
-            c = a + b
-            if c in ambient:
-                v.record(c in dp.members, f"closure on component {dp.component}",
-                         lambda: f"{a} + {b} = {c}")
+    cover, ambient = ref_cover(dp)
+    v = unordered(cover, ambient, by_later=True)
+    v.extend(unordered(ref_closure(dp), dp.sorted_members()))
     return v
+
+
+def ref_ns_sum(p):
+    table = rs.root_table(p)
+    ns = rs.ns_dot_roots(p)
+    out = []
+    for a in ns:
+        for b in ns:
+            c = a + b
+            if c not in table:
+                continue
+            wit = table[a].sum_witness(table[b], table[c])
+            if wit is None:
+                continue
+            m, n = wit
+            out.append((a, b, c.is_zero or rs.shape_of(c) is not Shape.MIXED,
+                        "ns+ns stays real/imaginary",
+                        f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}"))
+    return out
 
 
 def ref_validate(cfg):
@@ -143,6 +196,20 @@ def ref_component_sums(p, i):
             c = a + b
             if not c.is_zero and c in table:
                 yield a, b, c, abs(rs.norm(a)), abs(rs.norm(b)), abs(rs.norm(c))
+
+
+def ref_sum_property(p, i):
+    table = rs.even_table(p, i)
+    return [(a, b, table[c].issubset(table[a].add(table[b])),
+             f"sum-set inclusion in component {i}", f"{a} + {b} = {c}")
+            for a, b, c, la, lb, lc in ref_component_sums(p, i) if la == lb <= lc]
+
+
+def ref_length_trichotomy(p, i):
+    return [(a, b, (la == lb < lc) + ((lc == la < lb) or (lc == lb < la)) + (la == lb == lc) == 1,
+             f"length trichotomy in component {i}",
+             f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})")
+            for a, b, c, la, lb, lc in ref_component_sums(p, i)]
 
 
 def ref_closure_break_targets(p):
@@ -204,19 +271,58 @@ def test_closure_loops_match_the_references():
     for p in PARAMS:
         comps = [i for i in (1, 2) if not rs.component_empty(p, i)]
         for cfg in _configs(p, 31):
-            for name, fn, ref in (("check_parabolic", check_parabolic, ref_check_parabolic),
-                                  ("validate", validate, ref_validate)):
-                got = fn(cfg).to_json()
-                assert got == ref(cfg).to_json(), (p, name)
-                failures[name] += len(got["failures"])
+            records, order = ref_check_parabolic(cfg)
+            assert_mirrored(records)
+            got = check_parabolic(cfg).to_json()
+            assert got == unordered(records, order).to_json(), p
+            failures["check_parabolic"] += len(got["failures"])
+            got = validate(cfg).to_json()
+            assert got == ref_validate(cfg).to_json(), p
+            failures["validate"] += len(got["failures"])
             pset = ParabolicSet(cfg)
             assert all(pset.contains_class(d) == ref_contains_class(cfg, d)
                        for d in rs.real_dot_roots(p))
             for i in comps:
                 dp = dot_parabolic_from_config(cfg, i)
+                assert_mirrored(ref_cover(dp)[0])
+                assert_mirrored(ref_closure(dp))
                 got = is_parabolic(dp).to_json()
                 assert got == ref_is_parabolic(dp).to_json(), (p, i)
                 failures["is_parabolic"] += len(got["failures"])
+    assert min(failures.values()) > 0, failures
+
+
+def test_structural_checks_match_the_references(monkeypatch):
+    # Warm the cached dot lists first: the patched shape_of below must not
+    # build them.
+    for p in PARAMS:
+        rs.real_dot_roots(p), rs.ns_dot_roots(p)
+    failures = {"ns_sum": 0, "trichotomy": 0}
+    for broken in (False, True):
+        with monkeypatch.context() as patched:
+            if broken:
+                # every nonzero ns sum reads as nonsingular, and lengths that
+                # fit no pattern of the trichotomy: the witnesses are compared
+                patched.setattr(rs, "shape_of", lambda d: Shape.MIXED)
+                patched.setattr(rs, "norm", lambda d: len(str(d)))
+            for p in PARAMS:
+                records = ref_ns_sum(p)
+                assert_mirrored(records)
+                want = unordered(records, rs.ns_dot_roots(p), "ns+ns stays real/imaginary (vacuous)")
+                got = rs.check_ns_sum(p, 8).to_json()
+                assert got == want.to_json(), p
+                failures["ns_sum"] += len(got["failures"])
+                for i in (1, 2):
+                    order = sorted(rs.even_table(p, i), key=RootVector.key)
+                    for check, ref, name in ((rs.check_sum_property, ref_sum_property,
+                                              f"sum-set inclusion in component {i}"),
+                                             (rs.check_length_trichotomy, ref_length_trichotomy,
+                                              f"length trichotomy in component {i}")):
+                        records = ref(p, i)
+                        assert_mirrored(records)
+                        got = check(p, i).to_json()
+                        assert got == unordered(records, order, f"{name} (vacuous)").to_json()
+                        failures["trichotomy"] += len(got["failures"])
     assert min(failures.values()) > 0, failures
 
 
@@ -256,6 +362,8 @@ def test_is_parabolic_matches_the_reference_on_mutated_traces():
             drop = set(rng.sample(nonzero, min(2, len(nonzero))))
             for members in (dp.members, dp.members - drop, frozenset()):
                 mutated = DotParabolic(p, i, members)
+                assert_mirrored(ref_cover(mutated)[0])
+                assert_mirrored(ref_closure(mutated))
                 assert is_parabolic(mutated).to_json() == ref_is_parabolic(mutated).to_json()
 
 
@@ -271,8 +379,10 @@ def test_component_sums_and_break_targets_match_the_references():
     for p in PARAMS:
         for i in (1, 2):
             own = {id(d) for d in rs.even_table(p, i)}
+            pos = {d: n for n, d in enumerate(sorted(rs.even_table(p, i), key=RootVector.key))}
             got = list(rs._component_sums(p, i))
-            assert got == list(ref_component_sums(p, i)), (p, i)
+            want = [s for s in ref_component_sums(p, i) if pos[s[0]] <= pos[s[1]]]
+            assert got == want, (p, i)
             assert all(id(c) in own for _, _, c, *_ in got)
         targets = _closure_break_targets.__wrapped__(p)
         assert targets == ref_closure_break_targets(p), p
@@ -292,6 +402,9 @@ def test_warm_closure_loops_do_no_vector_arithmetic(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(RootVector, "__add__", refuse)
             patched.setattr(RootVector, "__neg__", refuse)
+            assert rs.check_ns_sum(p, 8).ok
+            for i in (1, 2):
+                assert rs.check_sum_property(p, i).ok and rs.check_length_trichotomy(p, i).ok
             for cfg, zeta in seeded:
                 assert validate(cfg).ok and check_parabolic(cfg).ok
                 assert check_positivity_alignment(cfg, zeta).ok

@@ -281,15 +281,15 @@ EXPECTED = {
     "decompose-not-positive":
         "809223612e1e17031c64fe4d48d98f0a134ebcff4474c5687cd06315f897c290",
     "verify-ae":
-        "8609b90707173da3e5c15eaa133959fb132a32bf51b4141008737a9e81510a3b",
+        "36acb59d1b0882b45ee4bf724a9a29145dd916d5a397ff842b54e63134d1b062",
     "verify-a4":
-        "4f5c4dc44f8db4f5992f1af868339db74a7930a1ca7377dca16f775949666c29",
+        "c1737493baade2b6d29dcf292c18931daecd20e4ecf61832d97309bc0d22ef1b",
     "verify-ao":
-        "0272157a68454d928245378e3238051fe4dae33c290dd50429964954b0aff2cd",
+        "1af4bd6b4e026a1dd0b3c5599408f0287519b79577bdf6f8b794853339b18758",
     "verify-d0":
-        "e3574056deae17e5fd6cce85550355fe3f3127ba41faeaf3b82022a88ffb7f66",
+        "6a920464db71bdc11c93740b66e787ceec14f54e4f9de73e54a4db43ff7a32f2",
     "verify-d2":
-        "b4b3c7b6a62ba7e70302d62bf725982984aa5c1e176701c50332f25a2adb7cc5",
+        "ff0a9b47e62495587891ac6835d609c83be8e30568b1422abb691f0f5f8b6500",
 }
 
 

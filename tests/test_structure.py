@@ -57,12 +57,14 @@ def window_ns_sum(p, mmax):
 def test_ns_sum_matches_window_oracle():
     # Every modulus divides 4, so the smallest nonnegative witness of a class
     # pair sums to at most 6, and a window of 6 realizes every class pair.
+    # The check records each unordered pair once.
     for p in valid_params(1, 2):
         ok, pairs = window_ns_sum(p, 6)
+        unordered = {frozenset(pair) for pair in pairs}
         for mmax in (0, 8):
             v = rs.check_ns_sum(p, mmax)
             assert v.ok == ok, p
-            assert v.checks == max(len(pairs), 1), p
+            assert v.checks == max(len(unordered), 1), p
 
 
 def test_sum_property_worked_example():

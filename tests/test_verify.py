@@ -6,7 +6,9 @@ import pytest
 
 from twistroots import verify
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
+from twistroots.lattice import RootVector
 from twistroots.parabolic import InfeasibleSystemError
+from twistroots.progressions import ProgressionSet
 from twistroots.reporting import Failure, Verdict
 from twistroots.rootsys import ClassificationBugError, Parity
 from twistroots.verify import (
@@ -124,6 +126,30 @@ def test_window_classification_agreement_is_live(monkeypatch):
     assert rep.checks == clean.checks
     assert [f.check for f in rep.failures] == ["window classification agrees with classify"]
     assert str(wrong[0]) in rep.failures[0].witness
+
+
+def test_component_containment_is_exact_and_live(monkeypatch):
+    # +2d1 has the coefficients 2Z; widened to Z, its component entry leaves
+    # the root system at odd coefficients only, which a window of 0 never
+    # meets.  An entry for a vector that is no dot fails as well.
+    p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
+    clean = suite_classification(p, 0)
+    even_table = verify.even_table
+    wide = next(d for d in even_table(p, 1) if str(d) == "<+2d1>")
+    stray = RootVector((3,), (3,), 0)
+
+    def patched(q, i):
+        entries = dict(even_table(q, i))
+        if i == 1:
+            entries[wide] = ProgressionSet.integers()
+            entries[stray] = ProgressionSet.integers()
+        return entries
+
+    monkeypatch.setattr(verify, "even_table", patched)
+    rep = suite_classification(p, 0)
+    assert rep.checks == clean.checks + 1
+    assert rep.failures == [Failure("component 1 sits inside the root system", str(d))
+                            for d in (wide, stray)]
 
 
 def test_synthesis_failure_is_recorded_once(monkeypatch):
