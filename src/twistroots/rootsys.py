@@ -467,15 +467,14 @@ def _squared_length(dot: RootVector) -> int:
 
 
 def _component_sums(p: AlgebraParams, i: int):
-    """(a, b, a + b) with squared lengths (la, lb, lc), for every unordered
-    pair of nonzero dots of component i, a not after b in canonical order,
-    whose sum is a nonzero dot of the component (``pair_sums``).  Every dot
-    yielded is the table's own object."""
+    """((a, la), (b, lb), (a + b, lc)), with squared lengths, for every
+    unordered pair of nonzero dots of component i, a not after b in canonical
+    order, whose sum is a nonzero dot of the component (``pair_sums``).
+    Every dot yielded is the table's own object."""
     code = dot_codes(p).code
     nonzero = {code[d]: (d, _squared_length(d))
                for d in sorted(even_table(p, i), key=RootVector.key) if not d.is_zero}
-    for (a, la), (b, lb), (c, lc) in pair_sums(nonzero, nonzero):
-        yield a, b, c, la, lb, lc
+    return pair_sums(nonzero, nonzero)
 
 
 def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
@@ -483,7 +482,7 @@ def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
     coefficient set is contained in the sumset of the summands'."""
     v = Verdict()
     table = even_table(p, i)
-    for a, b, c, la, lb, lc in _component_sums(p, i):
+    for (a, la), (b, lb), (c, lc) in _component_sums(p, i):
         if la == lb <= lc:
             ok = table[c].issubset(table[a].add(table[b]))
             v.record(ok, f"sum-set inclusion in component {i}", lambda: f"{a} + {b} = {c}")
@@ -496,7 +495,7 @@ def check_length_trichotomy(p: AlgebraParams, i: int) -> Verdict:
     """Within an even component, any pair with a nonzero root sum realizes exactly
     one of the three length patterns: equal<sum, sum=short<long, all equal."""
     v = Verdict()
-    for a, b, c, la, lb, lc in _component_sums(p, i):
+    for (a, la), (b, lb), (c, lc) in _component_sums(p, i):
         pat_a = la == lb < lc
         pat_b = (lc == la < lb) or (lc == lb < la)
         pat_c = la == lb == lc

@@ -380,7 +380,8 @@ def test_component_sums_and_break_targets_match_the_references():
         for i in (1, 2):
             own = {id(d) for d in rs.even_table(p, i)}
             pos = {d: n for n, d in enumerate(sorted(rs.even_table(p, i), key=RootVector.key))}
-            got = list(rs._component_sums(p, i))
+            got = [(a, b, c, la, lb, lc)
+                   for (a, la), (b, lb), (c, lc) in rs._component_sums(p, i)]
             want = [s for s in ref_component_sums(p, i) if pos[s[0]] <= pos[s[1]]]
             assert got == want, (p, i)
             assert all(id(c) in own for _, _, c, *_ in got)
