@@ -220,7 +220,8 @@ def pair_sums(members: Mapping[int, T], targets: Mapping[int, U]) -> Iterator[tu
     """(members[x], members[y], targets[x + y]) for every pair of dot codes
     x, y of ``members``, x not after y in its order (x == y included), whose
     sum is a key of ``targets``.  Every predicate checked over the pairs is
-    symmetric in a and b, so one record per unordered pair says it all."""
+    symmetric in its two summands, so one record per unordered pair says it
+    all."""
     entries = list(members.items())
     get = targets.get
     for idx, (ca, a) in enumerate(entries):
