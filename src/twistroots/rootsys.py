@@ -282,12 +282,8 @@ def s_set_0(p: AlgebraParams, i: int, dot: RootVector) -> ProgressionSet:
 
 def even_s_set(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     """Delta coefficients landing dot anywhere in the even part (both components)."""
-    out = ProgressionSet.empty()
-    for i in (1, 2):
-        prog = even_table(p, i).get(dot)
-        if prog is not None:
-            out = out.union(prog)
-    return out
+    rec = None if dot.dc else _dot_record(p, dot.eps, dot.dels)
+    return _NO_COEFFICIENTS if rec is None else rec.even
 
 
 def odd_member_progression(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
@@ -324,63 +320,101 @@ def _root_class(dot: RootVector) -> RootClass:
     return metric
 
 
+# The few classification records there are; every dot record shares them.
 _IMAGINARY_INFO = RootInfo(RootClass.IMAGINARY, None, Component.IMAGINARY_ONLY)
-_EVEN_COMPONENTS = ((1, Component.IN_R0_1), (2, Component.IN_R0_2))
+_ODD_INFO = {c: RootInfo(c, Parity.ODD, Component.ODD_PART)
+             for c in (RootClass.REAL, RootClass.NONSINGULAR)}
+_EVEN_INFO = {i: RootInfo(RootClass.REAL, Parity.EVEN, comp)
+              for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2))}
+_NO_COEFFICIENTS = ProgressionSet.empty()
+
+
+class _DotRecord(NamedTuple):
+    """What classification knows of one dot.  ``s`` is its coefficient set
+    and ``odd`` the record of its roots outside the even part.  ``evens``
+    holds one (progression, record) pair per even component that holds the
+    dot; the record is None for a nonsingular dot, none of whose roots may
+    be even.  ``even`` is the union of the dot's even progressions.  The
+    zero dot has no pairs, since its roots are imaginary in either
+    component, but its ``even`` holds both imaginary rows."""
+
+    s: ProgressionSet
+    odd: RootInfo
+    evens: tuple[tuple[ProgressionSet, RootInfo | None], ...]
+    even: ProgressionSet
+
+
+@lru_cache(maxsize=None)
+def _dot_records(p: AlgebraParams) -> dict[tuple[tuple[int, ...], tuple[int, ...]], _DotRecord]:
+    """(eps, dels) -> record, filled by ``_dot_record`` one dot at a time."""
+    return {}
+
+
+def _dot_record(p: AlgebraParams, eps: tuple[int, ...], dels: tuple[int, ...]
+                ) -> _DotRecord | None:
+    """The record of the dot (eps, dels), None if it is no dot of ``p``.  The
+    class is decided once per dot: delta is isotropic, so class, parity and
+    component depend only on the dot and on which even progression holds
+    the delta-coefficient."""
+    memo = _dot_records(p)
+    rec = memo.get((eps, dels))
+    if rec is not None:
+        return rec
+    dot = RootVector(eps, dels, 0)
+    s = root_table(p).get(dot)
+    if s is None:
+        return None
+    root_class = _root_class(dot)
+    imaginary = root_class is RootClass.IMAGINARY
+    evens, even = [], _NO_COEFFICIENTS
+    for i in (1, 2):
+        prog = even_table(p, i).get(dot)
+        if prog is not None:
+            even = prog if even.is_empty else even.union(prog)
+            if not imaginary:
+                evens.append((prog, _EVEN_INFO[i] if root_class is RootClass.REAL else None))
+    rec = _DotRecord(s, _IMAGINARY_INFO if imaginary else _ODD_INFO[root_class],
+                     tuple(evens), even)
+    memo[eps, dels] = rec
+    return rec
+
+
+def _read(rec: _DotRecord, v: RootVector) -> RootInfo:
+    """The record of the nonzero root v over ``rec``'s dot."""
+    for prog, info in rec.evens:
+        if v.dc in prog:
+            if info is None:
+                raise ClassificationBugError(f"nonsingular root {v} matched the even part")
+            return info
+    return rec.odd
 
 
 def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     """Classify a nonzero root, cross-checking the clause-shape route against the
     bilinear-form route; a disagreement is an internal bug and raises."""
     _check_ambient(p, v)
-    dot = v.dot_part()
-    prog = root_table(p).get(dot)
-    if prog is None or v.dc not in prog:
+    rec = _dot_record(p, v.eps, v.dels)
+    if rec is None or v.dc not in rec.s:
         raise NotARootError(f"{v} is not a root of {p.describe()}")
     if v.is_zero:
         raise NotARootError("the zero vector is not classified; it lies in every part")
-
-    root_class = _root_class(dot)
-    if root_class is RootClass.IMAGINARY:
-        return _IMAGINARY_INFO
-    for i, comp in _EVEN_COMPONENTS:
-        even = even_table(p, i).get(dot)
-        if even is not None and v.dc in even:
-            if root_class is RootClass.NONSINGULAR:
-                raise ClassificationBugError(f"nonsingular root {v} matched the even part")
-            return RootInfo(root_class, Parity.EVEN, comp)
-    return RootInfo(root_class, Parity.ODD, Component.ODD_PART)
+    return _read(rec, v)
 
 
 def classify_window(
     p: AlgebraParams, mmax: int
 ) -> list[tuple[RootVector, RootInfo | None]]:
     """The roots of ``enumerate_window(p, mmax)``, in its order, each with what
-    ``classify`` returns for it (None for the zero root).  The class is decided
-    once per dot; parity and component come from the dot's two even-table
-    progressions."""
+    ``classify`` returns for it (None for the zero root), read off the same
+    dot record."""
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    evens = [(even_table(p, i), comp) for i, comp in _EVEN_COMPONENTS]
     out = []
     for dot, prog in root_table(p).items():
-        window = prog.window(mmax)
-        root_class = _root_class(dot)
-        if root_class is RootClass.IMAGINARY:
-            out += [(dot.with_dc(m), None if m == 0 else _IMAGINARY_INFO) for m in window]
-            continue
-        odd = RootInfo(root_class, Parity.ODD, Component.ODD_PART)
-        even_infos = [(even, RootInfo(root_class, Parity.EVEN, comp))
-                      for table, comp in evens if (even := table.get(dot)) is not None]
-        for m in window:
-            for even, info in even_infos:
-                if m in even:
-                    if root_class is RootClass.NONSINGULAR:
-                        raise ClassificationBugError(
-                            f"nonsingular root {dot.with_dc(m)} matched the even part")
-                    break
-            else:
-                info = odd
-            out.append((dot.with_dc(m), info))
+        rec = _dot_record(p, dot.eps, dot.dels)
+        for m in prog.window(mmax):
+            v = dot.with_dc(m)
+            out.append((v, None if v.is_zero else _read(rec, v)))
     out.sort(key=lambda entry: entry[0].key())
     return out
 

@@ -124,20 +124,23 @@ def expand_pattern(pat: Pattern, k: int, l: int) -> list[RootVector]:
     return sorted(set(out), key=RootVector.key)
 
 
+_FIXED_PROGRESSIONS = {
+    "Z": ProgressionSet.single(1, 0),
+    "2Z": ProgressionSet.single(2, 0),
+    "2Z+1": ProgressionSet.single(2, 1),
+    "4Z": ProgressionSet.single(4, 0),
+    "4Z+2": ProgressionSet.single(4, 2),
+}
+
+
 def resolve_progression(token: str, p: AlgebraParams) -> ProgressionSet:
-    fixed = {
-        "Z": ProgressionSet.single(1, 0),
-        "2Z": ProgressionSet.single(2, 0),
-        "2Z+1": ProgressionSet.single(2, 1),
-        "4Z": ProgressionSet.single(4, 0),
-        "4Z+2": ProgressionSet.single(4, 2),
-    }
+    fixed = _FIXED_PROGRESSIONS
     if token in fixed:
         return fixed[token]
     if token == "KRON_L":
-        return ProgressionSet.single(2, 0) if p.l == 1 else ProgressionSet.single(1, 0)
+        return fixed["2Z"] if p.l == 1 else fixed["Z"]
     if token == "KRON_K":
-        return ProgressionSet.single(2, 0) if p.k == 1 else ProgressionSet.single(1, 0)
+        return fixed["2Z"] if p.k == 1 else fixed["Z"]
     raise ValueError(f"unknown progression token {token!r}")
 
 

@@ -97,14 +97,14 @@ def suite_tables(p: AlgebraParams) -> RunReport:
     for dot in sorted(table, key=RootVector.key):
         if dot.is_zero:
             v.record(table[dot] == resolve_progression("Z", p),
-                     "imaginary line is all of Z*delta", str(dot))
+                     "imaginary line is all of Z*delta", lambda: str(dot))
             continue
         token = S_CLOSED[shape_of(dot)][p.family]
-        v.record(token is not None, "dot shape present in the closed form", str(dot))
+        v.record(token is not None, "dot shape present in the closed form", lambda: str(dot))
         if token is not None:
             v.record(s_set(p, dot) == resolve_progression(token, p),
                      "coefficient set matches the closed form",
-                     f"{dot}: {s_set(p, dot)} vs {token}")
+                     lambda: f"{dot}: {s_set(p, dot)} vs {token}")
     expected_dots = {zero_vec(p.k, p.l)}
     for pat in DOT_PATTERNS[p.family]:
         expected_dots.update(expand_pattern(pat, p.k, p.l))
@@ -133,7 +133,7 @@ def suite_tables(p: AlgebraParams) -> RunReport:
             token = S_EVEN_CLOSED[(shape_of(dot), i)][p.family]
             v.record(token is not None and s_set_0(p, i, dot) == resolve_progression(token, p),
                      f"component {i} coefficient set matches the closed form",
-                     f"{dot}: {s_set_0(p, i, dot)} vs {token}")
+                     lambda: f"{dot}: {s_set_0(p, i, dot)} vs {token}")
         v.record(set(etab) <= set(table), f"component {i} dots are dots", "")
     return _finish("tables", v, t0)
 

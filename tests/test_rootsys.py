@@ -319,7 +319,11 @@ def test_classify_window_decides_the_class_once_per_dot(monkeypatch):
         return root_class(dot)
 
     monkeypatch.setattr(rs, "_root_class", spy)
+    rs._dot_records.cache_clear()
     entries = rs.classify_window(p, 8)
+    for v, info in entries:  # classify reads the records classify_window made
+        if not v.is_zero:
+            assert rs.classify(p, v) is info
     dots = {v.dot_part() for v, _ in entries}
     assert sorted(calls) == sorted(dots) and len(entries) > len(dots)
 
@@ -336,9 +340,16 @@ def test_classify_window_raises_on_route_disagreement(monkeypatch):
     def wrong_shape(dot):  # every nonzero dot reads as nonsingular
         return Shape.MIXED
 
-    # rootsys binds tables.shape_of under its own name; patch that binding.
+    # rootsys binds tables.shape_of under its own name; patch that binding,
+    # then drop the dot records decided before it.
     monkeypatch.setattr(rs, "shape_of", wrong_shape)
-    with pytest.raises(rs.ClassificationBugError):
-        rs.classify_window(p, 2)
-    with pytest.raises(rs.ClassificationBugError):
-        rs.classify(p, eps_unit(1, 1, 1))
+    rs._dot_records.cache_clear()
+    try:
+        with pytest.raises(rs.ClassificationBugError):
+            rs.classify_window(p, 2)
+        with pytest.raises(rs.ClassificationBugError):
+            rs.classify(p, eps_unit(1, 1, 1))
+        with pytest.raises(rs.ClassificationBugError):
+            rs.even_s_set(p, eps_unit(1, 1, 1))
+    finally:
+        rs._dot_records.cache_clear()
