@@ -228,14 +228,13 @@ def _cmd_tables(args) -> int:
 def _cmd_verify(args) -> int:
     p = _params(args)
     # the library takes negative counts silently; refuse them before --out is opened
-    for name in ("mmax", "configs", "adversarial", "functionals", "roundtrip"):
+    for name in ("configs", "adversarial", "functionals", "roundtrip"):
         if getattr(args, name) < 0:
             raise ValueError(f"--{name} must be >= 0, got {getattr(args, name)}")
     with _output(args) as out:
         reports = run_all(
             p,
             seed=args.seed,
-            mmax=args.mmax,
             n_configs=args.configs,
             n_adversarial=args.adversarial,
             n_functionals=args.functionals,
@@ -245,7 +244,7 @@ def _cmd_verify(args) -> int:
             print(r.summary(), file=sys.stderr)
         doc = {
             "family": p.family.token, "k": p.k, "l": p.l,
-            "seed": args.seed, "mmax": args.mmax,
+            "seed": args.seed,
             "reports": [r.to_json() for r in reports],
             "ok": all(r.ok for r in reports),
         }
@@ -423,7 +422,6 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("verify", help="run the full invariant battery")
     _add_params(sp)
-    sp.add_argument("--mmax", type=int, default=8)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--configs", type=int, default=100,
                     help="seeded shadow configs per run")

@@ -332,9 +332,9 @@ class GeneratorSet:
 
     ``shifted_real`` ranges over nonzero real dots, ``shifted_full`` over all
     nonzero dots; the two variants differ exactly on the nonsingular shapes and
-    both are kept (the window identity is stated for the full variant and
-    checked by the classification suite, the generator combinatorics for the
-    real one).  ``generators`` is derived from ``positive``.
+    both are kept (the class-residue identity is stated for the full variant
+    and checked by the classification suite, the generator combinatorics for
+    the real one).  ``generators`` is derived from ``positive``.
     """
 
     params: AlgebraParams
@@ -360,9 +360,10 @@ class GeneratorSet:
 
 def shifted_full(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Every nonzero dot shifted by each of its residues modulo the global
-    modulus, in dot order.  Steps of the global modulus from this set reach
-    every nonzero non-imaginary root and nothing else; the classification
-    suite checks that window identity once per params."""
+    modulus r, in dot order, so steps of r from this set reach every nonzero
+    non-imaginary root and nothing else.  The classification suite checks
+    this class-residue identity once per params, one case per dot and
+    residue 0..r-1."""
     return _shifted(p)[0]
 
 

@@ -2,7 +2,8 @@
 
 Each suite returns a RunReport; a report with no failures is a pass.  All
 randomized suites take an explicit seed and are deterministic for a fixed
-(params, seed, sizes) triple.
+(params, seed, sizes) triple.  No suite takes a window bound: classification
+is checked once per delta-class, so no verdict or count depends on one.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .rootsys import (
     check_ns_sum,
     check_sum_property,
     classify,
-    classify_window,
     component_empty,
     enumerate_window,
     even_table,
@@ -134,43 +134,41 @@ def suite_tables(p: AlgebraParams) -> RunReport:
             v.record(token is not None and s_set_0(p, i, dot) == resolve_progression(token, p),
                      f"component {i} coefficient set matches the closed form",
                      lambda: f"{dot}: {s_set_0(p, i, dot)} vs {token}")
-        v.record(set(etab) <= set(table), f"component {i} dots are dots", "")
     return _finish("tables", v, t0)
 
 
-def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) -> RunReport:
-    """Window coherence of the two classification routes, agreement of the
-    per-delta-class window classification with ``classify``, the window
-    identity of the shifted dot set, even-part containment (exact, one case
-    per component and dot), and (for small parameters) agreement with the
-    brute-force enumerator."""
+def suite_classification(p: AlgebraParams) -> RunReport:
+    """Classification on delta-classes: every even modulus divides the global
+    modulus r, so class, parity and component depend only on the dot and on
+    dc mod r.  The class-residue identity of the shifted dot set (one case
+    per nonzero dot and residue mod r), one ``classify`` per residue class
+    plus one for the imaginary line, exact even-part containment (one case
+    per component and dot) and, when k, l <= 2, the brute-force scan."""
     t0 = time.time()
     v = Verdict()
-    window = enumerate_window(p, mmax)
+    table = root_table(p)
     r = r_invariants(p).global_modulus
-    covered = {s.with_dc(dc) for s in shifted_full(p)
-               for dc in range(-mmax, mmax + 1) if (dc - s.dc) % r == 0}
-    non_imaginary = {w for w in window if not w.dot_part().is_zero}
-    v.record(covered == non_imaginary, "shifted dot set covers the window exactly",
-             lambda: f"mmax={mmax}: differ on {sorted(covered ^ non_imaginary)}")
-    try:
-        window_info = dict(classify_window(p, mmax))
-    except ClassificationBugError:
-        window_info = {}  # the same disagreement is recorded per root below
-    for root in window:
-        if root.is_zero:
+    shifted = set(shifted_full(p))
+    residues = []
+    for dot in sorted(table, key=RootVector.key):
+        if dot.is_zero:
             continue
+        for res in range(r):
+            root = dot.with_dc(res)
+            in_s = res in table[dot]
+            if in_s:
+                residues.append(root)
+            v.record((root in shifted) == in_s,
+                     "shifted dot set holds exactly the residues of each dot", lambda: f"{root}")
+    v.record(shifted <= set(residues), "shifted dot set holds nothing else",
+             lambda: f"{sorted(shifted.difference(residues))}")
+    for root in (zero_vec(p.k, p.l).with_dc(1), *residues):
         try:
-            info = classify(p, root)
+            classify(p, root)
             bug = ""
         except ClassificationBugError as exc:
-            info, bug = None, str(exc)
+            bug = str(exc)
         v.record(not bug, "classification matches the form", bug)
-        # A raise is recorded once, under the label above.
-        v.record(bool(bug) or window_info.get(root) == info,
-                 "window classification agrees with classify",
-                 lambda: f"{root}: window says {window_info.get(root)}, classify says {info}")
-    table = root_table(p)
     for i in (1, 2):
         for dot, prog in even_table(p, i).items():
             v.record(dot in table and prog.issubset(table[dot]),
@@ -178,17 +176,12 @@ def suite_classification(p: AlgebraParams, mmax: int = 8, brute_bound: int = 0) 
     both = set(even_table(p, 1)) & set(even_table(p, 2))
     v.record(all(d.is_zero for d in both),
              "components intersect only along the imaginary line", f"{sorted(both)}")
-    if brute_bound:
-        brute = []
-        for eps in product(range(-2, 3), repeat=p.k):
-            for dels in product(range(-2, 3), repeat=p.l):
-                for dc in range(-brute_bound, brute_bound + 1):
-                    cand = RootVector(eps, dels, dc)
-                    if is_root(p, cand):
-                        brute.append(cand)
-        v.record(sorted(brute) == enumerate_window(p, brute_bound),
-                 "window enumeration equals the brute-force scan",
-                 f"mmax={brute_bound}")
+    if p.k <= 2 and p.l <= 2:
+        box = product(product(range(-2, 3), repeat=p.k), product(range(-2, 3), repeat=p.l),
+                      range(-4, 5))
+        brute = sorted(c for c in (RootVector(*x) for x in box) if is_root(p, c))
+        v.record(brute == enumerate_window(p, 4),
+                 "window enumeration equals the brute-force scan", "mmax=4")
     return _finish("classification", v, t0)
 
 
@@ -219,7 +212,6 @@ def suite_shadow_pipeline(
     seed: int = DEFAULT_SEED,
     n_configs: int = 100,
     n_adversarial: int = 50,
-    mmax: int = 8,
 ) -> RunReport:
     """Functional-seeded tight configurations run the whole pipeline: validity,
     mixed components, parabolic closure, per-component extraction and
@@ -235,18 +227,18 @@ def suite_shadow_pipeline(
     components = [i for i in (1, 2) if not component_empty(p, i)]
     for idx in range(n_configs):
         tag = f"config {idx}"
-        cfg, zeta = random_tight_config(p, rng, mmax)
+        cfg, zeta = random_tight_config(p, rng)
         val = validate(cfg)
         v.record(val.ok, "seeded config validates", f"{tag}: {val.summary()}")
         v.record(is_tight(cfg), "seeded config is tight", tag)
-        mix = check_mixed_components(cfg, mmax)
+        mix = check_mixed_components(cfg)
         v.record(mix.ok, "both components mix ln and in", f"{tag}: {mix.summary()}")
-        par = check_parabolic(cfg, mmax)
+        par = check_parabolic(cfg)
         v.record(par.ok, "derived set is closed", f"{tag}: {par.summary()}")
         proper = 0
         synthesized: dict[int, object] = {}
         for i in components:
-            dp = dot_parabolic_from_config(cfg, i, mmax)
+            dp = dot_parabolic_from_config(cfg, i)
             ip = is_parabolic(dp)
             v.record(ip.ok, f"trace on component {i} is parabolic",
                      f"{tag}: {ip.summary()}")
@@ -264,18 +256,18 @@ def suite_shadow_pipeline(
         else:
             nonzero = True  # the raise is recorded once, under the feasible label
         v.record(nonzero, "combined functional nonzero exactly when a trace is proper", tag)
-        pos = check_positivity_alignment(cfg, zeta, mmax)
+        pos = check_positivity_alignment(cfg, zeta)
         v.record(pos.ok, "positivity aligns with the seeding functional",
                  f"{tag}: {pos.summary()}")
     kinds = adversarial_kinds(p)
     for idx in range(n_adversarial):
         kind = kinds[idx % len(kinds)]
-        bad = adversarial_config(p, rng, kind, mmax)
+        bad = adversarial_config(p, rng, kind)
         val = validate(bad)
         rejected = not val.ok
         witness = val.failures[0].witness if val.failures else ""
         if not rejected:
-            par = check_parabolic(bad, mmax)
+            par = check_parabolic(bad)
             rejected = not par.ok
             witness = par.failures[0].witness if par.failures else ""
         v.record(rejected and witness != "",
@@ -344,18 +336,16 @@ def suite_roundtrip(
 def run_all(
     p: AlgebraParams,
     seed: int = DEFAULT_SEED,
-    mmax: int = 8,
     n_configs: int = 100,
     n_adversarial: int = 50,
     n_functionals: int = 50,
     n_roundtrip: int = 200,
 ) -> list[RunReport]:
-    brute = min(mmax, 4) if (p.k <= 2 and p.l <= 2) else 0
     return [
         suite_tables(p),
-        suite_classification(p, mmax, brute_bound=brute),
+        suite_classification(p),
         suite_structure(p),
-        suite_shadow_pipeline(p, seed, n_configs, n_adversarial, mmax),
+        suite_shadow_pipeline(p, seed, n_configs, n_adversarial),
         suite_generators(p, seed, n_functionals),
         suite_roundtrip(p, seed, n_roundtrip),
     ]

@@ -135,7 +135,7 @@ def test_criterion_4_shadow_parabolic_pipeline():
     details = []
     for p in PIPELINE_PARAMS:
         rep = suite_shadow_pipeline(p, seed=DEFAULT_SEED, n_configs=100,
-                                    n_adversarial=50, mmax=8)
+                                    n_adversarial=50)
         all_ok &= rep.ok
         details.append(f"{p.family.token}: {rep.checks} checks"
                        + ("" if rep.ok else f", first failure {rep.failures[0]}"))

@@ -110,7 +110,7 @@ def test_tables_json_schema():
 
 
 def test_deterministic_output():
-    args = ("verify", "--family", "a-4", "--k", "1", "--l", "1", "--mmax", "6",
+    args = ("verify", "--family", "a-4", "--k", "1", "--l", "1",
             "--seed", "5", "--configs", "4", "--adversarial", "3",
             "--functionals", "2", "--roundtrip", "4")
     a, b = run_cli(*args), run_cli(*args)
@@ -121,7 +121,7 @@ def test_deterministic_output():
 def test_verify_exit_zero_on_pass(tmp_path):
     out_file = tmp_path / "report.json"
     out = run_cli("verify", "--family", "d-2", "--k", "2", "--l", "2",
-                  "--mmax", "8", "--configs", "5", "--adversarial", "4",
+                  "--configs", "5", "--adversarial", "4",
                   "--functionals", "3", "--roundtrip", "5",
                   "--out", str(out_file))
     assert out.returncode == 0
@@ -243,6 +243,14 @@ def test_generator_commands_take_no_mmax(tmp_path, command):
     if command == "decompose":
         argv += ["--root", '{"eps":[0],"del":[2],"dc":0}']
     rc, out, err = _main_inprocess(argv + ["--mmax", "8"])
+    assert (rc, out) == (2, "")
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --mmax 8")
+
+
+def test_verify_takes_no_mmax():
+    # Classification is checked once per delta-class; no window bound is left.
+    rc, out, err = _main_inprocess(["verify", "--family", "a-even-2", "--k", "1",
+                                    "--l", "1", "--mmax", "8"])
     assert (rc, out) == (2, "")
     assert err.splitlines()[-1].endswith("error: unrecognized arguments: --mmax 8")
 
@@ -481,7 +489,7 @@ def test_document_inputs_never_escape_main(tmp_path, root, functional, config):
             assert err.startswith("error:") and err.endswith("\n"), (argv, err)
 
 
-_COUNT_FLAGS = ("mmax", "configs", "adversarial", "functionals", "roundtrip")
+_COUNT_FLAGS = ("configs", "adversarial", "functionals", "roundtrip")
 
 
 @settings(max_examples=40, deadline=None)

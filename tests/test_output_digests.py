@@ -117,7 +117,7 @@ def _cases(tmp_path):
                                        "--root", '{"eps":[0],"del":[-2],"dc":0}']
 
     small = ["--configs", "3", "--adversarial", "3", "--functionals", "2",
-             "--roundtrip", "3", "--mmax", "2"]
+             "--roundtrip", "3"]
     cases["verify-ae"] = ["verify", *_base("ae"), *small]
     cases["verify-a4"] = ["verify", *_base("a4"), *small]
     cases["verify-ao"] = ["verify", *_base("ao"), *small]
@@ -281,15 +281,15 @@ EXPECTED = {
     "decompose-not-positive":
         "809223612e1e17031c64fe4d48d98f0a134ebcff4474c5687cd06315f897c290",
     "verify-ae":
-        "36acb59d1b0882b45ee4bf724a9a29145dd916d5a397ff842b54e63134d1b062",
+        "df2183e5612fe91eb3b488b39fc2ef9c9d4e189ef5adc272a046b6e949d5e71e",
     "verify-a4":
-        "c1737493baade2b6d29dcf292c18931daecd20e4ecf61832d97309bc0d22ef1b",
+        "c445d1f324ea1e0c77cdf8bc23f764013650082e7fa11ff8bbc9685e4abfbed1",
     "verify-ao":
-        "1af4bd6b4e026a1dd0b3c5599408f0287519b79577bdf6f8b794853339b18758",
+        "83718733b0de6416a71fbd44e2a8ed01690692bfa10d5dece2fad5a9e8b14175",
     "verify-d0":
-        "6a920464db71bdc11c93740b66e787ceec14f54e4f9de73e54a4db43ff7a32f2",
+        "d058d4a7da5787dd6adae1cecb8aba7f9c0b19a38646517190172d461b83ba1d",
     "verify-d2":
-        "ff0a9b47e62495587891ac6835d609c83be8e30568b1422abb691f0f5f8b6500",
+        "6f8aede963d05c530065ec137c493b0245e819cf3a0008d782cc525e8c4c9444",
 }
 
 

@@ -15,6 +15,7 @@ from twistroots.sampling import (
     adversarial_kinds,
     config_from_functional,
     random_functional,
+    random_profile,
     random_tight_config,
 )
 from twistroots.shadow import (
@@ -319,6 +320,18 @@ def test_verdicts_do_not_depend_on_mmax():
                     for mmax in (0, 1, 8)
                 ]
                 assert outcomes[0] == outcomes[1] == outcomes[2], p
+            # Nor the sampler's draws from one seed, nor check_double_odd.
+            draws = []
+            for mmax in (0, 1, 8):
+                seeded = Random(23)
+                draws.append(([random_tight_config(p, seeded, mmax) for _ in range(4)],
+                              [adversarial_config(p, seeded, kind, mmax)
+                               for kind in adversarial_kinds(p)],
+                              rs.check_double_odd(p, mmax)))
+            assert draws[0] == draws[1] == draws[2], p
+    # The hybrid boundary m has one fixed range, whatever mmax a caller passes.
+    seeded = Random(29)
+    assert {random_profile(seeded).profile.m for _ in range(200)} == set(range(-4, 5))
 
 
 def test_adversarial_configs_rejected():

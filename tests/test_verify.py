@@ -1,7 +1,5 @@
 """Verification suites: determinism and end-to-end passes on small batches."""
 
-from dataclasses import replace
-
 import pytest
 
 from twistroots import verify
@@ -10,7 +8,7 @@ from twistroots.lattice import RootVector
 from twistroots.parabolic import InfeasibleSystemError
 from twistroots.progressions import ProgressionSet
 from twistroots.reporting import Failure, Verdict
-from twistroots.rootsys import ClassificationBugError, Parity
+from twistroots.rootsys import ClassificationBugError, classify, r_invariants, root_table
 from twistroots.verify import (
     run_all,
     suite_classification,
@@ -19,7 +17,7 @@ from twistroots.verify import (
     suite_shadow_pipeline,
 )
 
-WINDOW_IDENTITY = "shifted dot set covers the window exactly"
+RESIDUE_IDENTITY = "shifted dot set holds exactly the residues of each dot"
 
 
 def test_callable_witness_is_called_only_on_failure():
@@ -63,8 +61,20 @@ def test_seed_changes_the_draws():
     assert zeta_a != zeta_b or cfg_a.states != cfg_b.states
 
 
-@pytest.mark.parametrize("mmax", [0, 1, 8])
-def test_window_identity_holds_once_per_params(monkeypatch, mmax):
+def test_classification_is_constant_on_residue_classes():
+    # The premise of the class-level suite: every even progression's modulus
+    # divides the global modulus r, so one record per residue is exhaustive.
+    for p in valid_params(3, 3):
+        r = r_invariants(p).global_modulus
+        for dot, prog in root_table(p).items():
+            if dot.is_zero:
+                continue
+            for dc in prog.window(2 * r):
+                assert classify(p, dot.with_dc(dc)) == classify(p, dot.with_dc(dc % r)), \
+                    (p.describe(), dot, dc)
+
+
+def test_residue_identity_holds_once_per_params(monkeypatch):
     calls = []
     shifted_full = verify.shifted_full
 
@@ -75,21 +85,33 @@ def test_window_identity_holds_once_per_params(monkeypatch, mmax):
     monkeypatch.setattr(verify, "shifted_full", spy)
     params = valid_params(3, 3)
     for p in params:
-        rep = suite_classification(p, mmax)
+        rep = suite_classification(p)
         assert rep.ok, (p.describe(), rep.failures)
     assert calls == params
 
 
 def test_window_identity_is_live(monkeypatch):
+    # The class-residue identity is the window identity at every window at once.
     shifted_full = verify.shifted_full
     monkeypatch.setattr(verify, "shifted_full", lambda p: shifted_full(p)[:-1])
-    rep = suite_classification(AlgebraParams(AffineFamily.D_2, 1, 1), 8)
-    assert [f.check for f in rep.failures] == [WINDOW_IDENTITY]
+    rep = suite_classification(AlgebraParams(AffineFamily.D_2, 1, 1))
+    assert [f.check for f in rep.failures] == [RESIDUE_IDENTITY]
+
+
+def test_shifted_set_holds_nothing_else(monkeypatch):
+    # One global period up: the same delta-class, outside the residues 0..r-1.
+    p = AlgebraParams(AffineFamily.D_2, 1, 1)
+    shifted_full = verify.shifted_full
+    extra = shifted_full(p)[0]
+    extra = extra.with_dc(extra.dc + r_invariants(p).global_modulus)
+    monkeypatch.setattr(verify, "shifted_full", lambda q: (*shifted_full(q), extra))
+    rep = suite_classification(p)
+    assert rep.failures == [Failure("shifted dot set holds nothing else", f"{[extra]}")]
 
 
 def test_classification_bug_is_recorded_not_raised(monkeypatch):
     p = AlgebraParams(AffineFamily.A_4, 1, 1)
-    clean = suite_classification(p, 2)
+    clean = suite_classification(p)
     classify = verify.classify
     raised = []
 
@@ -100,40 +122,18 @@ def test_classification_bug_is_recorded_not_raised(monkeypatch):
         return classify(p, root)
 
     monkeypatch.setattr(verify, "classify", buggy)
-    rep = suite_classification(p, 2)
+    rep = suite_classification(p)
     assert rep.checks == clean.checks
     assert rep.failures == [Failure("classification matches the form",
                                     f"classification disagreement on {raised[0]}")]
 
 
-def test_window_classification_agreement_is_live(monkeypatch):
-    p = AlgebraParams(AffineFamily.A_4, 1, 1)
-    clean = suite_classification(p, 2)
-    classify_window = verify.classify_window
-    wrong = []
-
-    def one_wrong(p, mmax):
-        entries = classify_window(p, mmax)
-        idx = next(i for i, (root, info) in enumerate(entries)
-                   if info is not None and info.parity is Parity.EVEN)
-        root, info = entries[idx]
-        wrong.append(root)
-        entries[idx] = (root, replace(info, parity=Parity.ODD))
-        return entries
-
-    monkeypatch.setattr(verify, "classify_window", one_wrong)
-    rep = suite_classification(p, 2)
-    assert rep.checks == clean.checks
-    assert [f.check for f in rep.failures] == ["window classification agrees with classify"]
-    assert str(wrong[0]) in rep.failures[0].witness
-
-
 def test_component_containment_is_exact_and_live(monkeypatch):
     # +2d1 has the coefficients 2Z; widened to Z, its component entry leaves
-    # the root system at odd coefficients only, which a window of 0 never
-    # meets.  An entry for a vector that is no dot fails as well.
+    # the root system at odd coefficients only.  An entry for a vector that
+    # is no dot fails as well.
     p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
-    clean = suite_classification(p, 0)
+    clean = suite_classification(p)
     even_table = verify.even_table
     wide = next(d for d in even_table(p, 1) if str(d) == "<+2d1>")
     stray = RootVector((3,), (3,), 0)
@@ -146,7 +146,7 @@ def test_component_containment_is_exact_and_live(monkeypatch):
         return entries
 
     monkeypatch.setattr(verify, "even_table", patched)
-    rep = suite_classification(p, 0)
+    rep = suite_classification(p)
     assert rep.checks == clean.checks + 1
     assert rep.failures == [Failure("component 1 sits inside the root system", str(d))
                             for d in (wide, stray)]
