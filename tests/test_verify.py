@@ -8,7 +8,13 @@ from twistroots.lattice import RootVector
 from twistroots.parabolic import InfeasibleSystemError
 from twistroots.progressions import ProgressionSet
 from twistroots.reporting import Failure, Verdict
-from twistroots.rootsys import ClassificationBugError, classify, r_invariants, root_table
+from twistroots.rootsys import (
+    ClassificationBugError,
+    classify,
+    enumerate_window,
+    r_invariants,
+    root_table,
+)
 from twistroots.verify import (
     run_all,
     suite_classification,
@@ -74,7 +80,10 @@ def test_classification_is_constant_on_residue_classes():
                     (p.describe(), dot, dc)
 
 
-def test_residue_identity_holds_once_per_params(monkeypatch):
+@pytest.mark.parametrize("mmax", [0, 1, 8])
+def test_window_identity_holds_once_per_params(monkeypatch, mmax):
+    # The suite checks the class-residue identity once per params; steps of r
+    # from the shifted dot set then cover every window exactly.
     calls = []
     shifted_full = verify.shifted_full
 
@@ -87,6 +96,11 @@ def test_residue_identity_holds_once_per_params(monkeypatch):
     for p in params:
         rep = suite_classification(p)
         assert rep.ok, (p.describe(), rep.failures)
+        r = r_invariants(p).global_modulus
+        covered = {s.with_dc(dc) for s in shifted_full(p)
+                   for dc in range(-mmax, mmax + 1) if (dc - s.dc) % r == 0}
+        window = {w for w in enumerate_window(p, mmax) if not w.dot_part().is_zero}
+        assert covered == window, (p.describe(), sorted(covered ^ window))
     assert calls == params
 
 
