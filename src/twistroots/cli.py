@@ -185,7 +185,7 @@ def _dot_rows(dots) -> list[dict]:
 def _progression_rows(table) -> list[dict]:
     """The nonzero dots of a table with their progressions, in canonical order."""
     return [{"dot": d.to_json(), "progression": table[d].to_json()}
-            for d in sorted(table, key=RootVector.key) if not d.is_zero]
+            for d in table if not d.is_zero]
 
 
 def _clauses_json(p: AlgebraParams, rows) -> list[dict]:
@@ -203,7 +203,7 @@ def _cmd_tables(args) -> int:
         sections = [("R", root_table(p)), ("R0_1", even_table(p, 1)), ("R0_2", even_table(p, 2))]
         rows = [(name, _spaced(d.eps), _spaced(d.dels), table[d].modulus,
                  _spaced(table[d].residues))
-                for name, table in sections for d in sorted(table, key=RootVector.key)]
+                for name, table in sections for d in table]
         _emit(args, _csv_text(["table", "dot_eps", "dot_del", "mod", "residues"], rows))
         return 0
     doc = {
@@ -341,7 +341,7 @@ def _cmd_phi_pi(args) -> int:
         "positive": [v.to_json() for v in gens.positive],
         "generators": [v.to_json() for v in gens.generators],
         "note": ("shifted_real ranges over real dots (the generator combinatorics); "
-                 "shifted_full over all nonzero dots (the window covering identity); "
+                 "shifted_full over all nonzero dots (the class-residue identity); "
                  "they differ on the nonsingular shapes"),
     }
     _emit(args, json_text(doc))

@@ -32,7 +32,6 @@ from .rootsys import (
     sign_pairs,
 )
 from .shadow import ParabolicSet, ShadowConfig, StateKind
-from .tables import REAL_SHAPES, shape_of
 
 
 class InfeasibleSystemError(RuntimeError):
@@ -189,7 +188,7 @@ def is_parabolic(dp: DotParabolic) -> Verdict:
         outside = sorted(dp.members - ambient, key=RootVector.key)
         raise ValueError(f"members outside component {i}: {outside}")
     code = dot_codes(dp.params).code
-    dots = {code[d]: (d, d in dp.members) for d in sorted(ambient, key=RootVector.key)}
+    dots = {code[d]: (d, d in dp.members) for d in even_table(dp.params, i)}
     for (_, ok), (neg, ok_neg) in sign_pairs(dots):
         v.record(ok or ok_neg, f"cover on component {i}", lambda: f"{neg}")
     members = {c: entry for c, entry in dots.items() if entry[1]}
@@ -297,13 +296,10 @@ def _shifted(
     coordinates, with one width for the whole slice, so code(v) - code(a) ==
     code(b) exactly when v - a == b.
     """
-    inv = r_invariants(p)
-    full = tuple(
-        dot.with_dc(res)
-        for dot in sorted(inv.per_dot, key=RootVector.key)
-        for res in inv.per_dot[dot].residues_mod_global
-    )
-    real = tuple(v for v in full if shape_of(v.dot_part()) in REAL_SHAPES)
+    index = dot_codes(p)
+    full = tuple(dot.with_dc(res) for dot, data in r_invariants(p).per_dot.items()
+                 for res in data.residues_mod_global)
+    real = tuple(v for v in full if index.code[v.dot_part()] in index.real)
     codes = linear_codes([v.eps + v.dels + (v.dc,) for v in real])
     return full, real, dict(zip(real, codes))
 

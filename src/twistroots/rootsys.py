@@ -52,7 +52,6 @@ __all__ = [
     "real_dot_roots",
     "ns_dot_roots",
     "linear_codes",
-    "DotCodes",
     "dot_codes",
     "s_set",
     "s_set_0",
@@ -121,23 +120,114 @@ class RootInfo:
     component: Component
 
 
-# --- table-backed mappings (cached per params) -------------------------------
+# --- the per-params root index -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DotProgressionData:
+    """Minimal modulus and residue of one dot's coefficient set, plus its residue
+    classes re-expressed modulo the global modulus."""
+
+    minimal_modulus: int
+    residue: int
+    residues_mod_global: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class ProgressionInvariants:
+    global_modulus: int
+    per_dot: Mapping[RootVector, DotProgressionData]
+
+
+class _Index(NamedTuple):
+    """What ``rootsys`` knows of one params' dots, in canonical order; every
+    dot outside ``evens`` (the component tables) is ``table``'s own object.
+    ``code`` maps each dot to its ``linear_codes`` code over the eps and del
+    coordinates, ``by_code`` each code to the dot, and ``real`` and ``ns``
+    are the parts of ``by_code`` over the real and the nonsingular dots.
+    ``odd`` maps each nonzero dot to its coefficients outside the even part."""
+
+    table: Mapping[RootVector, ProgressionSet]
+    evens: tuple[Mapping[RootVector, ProgressionSet], ...]
+    dots: frozenset[RootVector]
+    dots0: tuple[frozenset[RootVector], ...]
+    code: Mapping[RootVector, int]
+    by_code: Mapping[int, RootVector]
+    real: Mapping[int, RootVector]
+    ns: Mapping[int, RootVector]
+    invariants: ProgressionInvariants
+    odd: Mapping[RootVector, ProgressionSet]
+    doubling: tuple[tuple[RootVector, RootVector], ...]
+
+
+_NO_COEFFICIENTS = ProgressionSet.empty()
+
+
+def _canonical(mapping):
+    """The mapping as a dict in canonical order."""
+    return dict(sorted(mapping.items(), key=lambda item: item[0].key()))
 
 
 @lru_cache(maxsize=None)
-def root_table(p: AlgebraParams) -> Mapping[RootVector, ProgressionSet]:
-    """dot -> set of legal delta coefficients, for the whole root system."""
-    return MappingProxyType(build_mapping(p, ROOT_CLAUSES[p.family]))
+def _index(p: AlgebraParams) -> _Index:
+    """The root index of ``p``, cached once per params: ``build_mapping`` runs
+    once per clause set, the dots are sorted once, and one pass over them
+    decides each dot's shape, code, progression invariants and odd part."""
+    table = _canonical(build_mapping(p, ROOT_CLAUSES[p.family]))
+    evens = [_canonical({} if i == 2 and p.k == 0 else build_mapping(p, EVEN_CLAUSES[p.family][i]))
+             for i in (1, 2)]
+    codes = linear_codes([d.eps + d.dels for d in table])
+    global_r = max(s.modulus for s in table.values())  # the zero dot's Z has modulus 1
+    real, ns, odd, per_dot, data = {}, {}, {}, {}, {}
+    for c, (dot, rest) in zip(codes, table.items()):
+        if dot.is_zero:
+            continue
+        shape = shape_of(dot)
+        if shape in REAL_SHAPES:
+            real[c] = dot
+        elif shape is Shape.MIXED:
+            ns[c] = dot
+        if rest not in data:  # the dots of one clause row share its progression
+            r_dot, k_dot = rest.as_single()
+            if r_dot not in (1, 2, 4):
+                raise ClassificationBugError(f"modulus of {dot} outside {{1,2,4}}: {r_dot}")
+            data[rest] = DotProgressionData(r_dot, k_dot, rest.residues_mod(global_r))
+        per_dot[dot] = data[rest]
+        for even in evens:
+            prog = even.get(dot)
+            if prog is not None:  # most even progressions are the whole set
+                rest = _NO_COEFFICIENTS if prog == rest else rest.difference(prog)
+        odd[dot] = rest
+    by_code = dict(zip(codes, table))
+    # the codes are linear, so 2 * code(dot) is the code of 2 * dot when that is a dot
+    doubling = tuple((dot, by_code[2 * c]) for c, dot in real.items()
+                     if 2 * c in by_code and not odd[dot].is_empty)
+    # frozenset() of a dict reuses its stored hashes, and of a mapping proxy does not
+    return _Index(MappingProxyType(table), tuple(map(MappingProxyType, evens)), frozenset(table),
+                  tuple(map(frozenset, evens)), MappingProxyType(dict(zip(table, codes))),
+                  MappingProxyType(by_code), MappingProxyType(real), MappingProxyType(ns),
+                  ProgressionInvariants(global_r, MappingProxyType(per_dot)),
+                  MappingProxyType(odd), doubling)
 
 
-@lru_cache(maxsize=None)
-def even_table(p: AlgebraParams, i: int) -> Mapping[RootVector, ProgressionSet]:
-    """dot -> delta coefficients for even component i; empty mapping if k=0, i=2."""
+def _component(i: int) -> int:
     if i not in (1, 2):
         raise ValueError("component index must be 1 or 2")
-    if i == 2 and p.k == 0:
-        return MappingProxyType({})
-    return MappingProxyType(build_mapping(p, EVEN_CLAUSES[p.family][i]))
+    return i - 1
+
+
+def root_table(p: AlgebraParams) -> Mapping[RootVector, ProgressionSet]:
+    """dot -> set of legal delta coefficients, for the whole root system."""
+    return _index(p).table
+
+
+def even_table(p: AlgebraParams, i: int) -> Mapping[RootVector, ProgressionSet]:
+    """dot -> delta coefficients for even component i; empty mapping if k=0, i=2."""
+    return _index(p).evens[_component(i)]
+
+
+def component_empty(p: AlgebraParams, i: int) -> bool:
+    return not even_table(p, i)
 
 
 def _check_ambient(p: AlgebraParams, v: RootVector) -> None:
@@ -147,34 +237,30 @@ def _check_ambient(p: AlgebraParams, v: RootVector) -> None:
         )
 
 
-@lru_cache(maxsize=None)
 def dot_roots(p: AlgebraParams) -> frozenset[RootVector]:
     """The finite delta-free root set, zero included."""
-    return frozenset(root_table(p))
+    return _index(p).dots
 
 
-@lru_cache(maxsize=None)
 def dot_roots_0(p: AlgebraParams, i: int) -> frozenset[RootVector]:
     """Delta-free roots of even component i; the empty set when the component is."""
-    return frozenset(even_table(p, i))
+    return _index(p).dots0[_component(i)]
 
 
-@lru_cache(maxsize=None)
 def real_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Nonzero delta-free roots of real shape, in canonical order."""
-    return tuple(
-        d for d in sorted(root_table(p), key=RootVector.key)
-        if not d.is_zero and shape_of(d) in REAL_SHAPES
-    )
+    return tuple(_index(p).real.values())
 
 
-@lru_cache(maxsize=None)
 def ns_dot_roots(p: AlgebraParams) -> tuple[RootVector, ...]:
     """Nonzero delta-free roots of mixed (nonsingular) shape, in canonical order."""
-    return tuple(
-        d for d in sorted(root_table(p), key=RootVector.key)
-        if not d.is_zero and shape_of(d) is Shape.MIXED
-    )
+    return tuple(_index(p).ns.values())
+
+
+def r_invariants(p: AlgebraParams) -> ProgressionInvariants:
+    """Every nonzero dot's coefficient set is a single progression with modulus in
+    {1, 2, 4}; the global modulus is the max, and each set is re-expressed mod it."""
+    return _index(p).invariants
 
 
 def linear_codes(coords: list[tuple[int, ...]]) -> list[int]:
@@ -189,31 +275,12 @@ def linear_codes(coords: list[tuple[int, ...]]) -> list[int]:
     return [sum(c << (w * i) for i, c in enumerate(cs)) for cs in coords]
 
 
-class DotCodes(NamedTuple):
-    """The dots of ``root_table(p)`` under their ``linear_codes`` over the eps
-    and del coordinates: ``code`` maps each dot to its code, ``by_code``
-    each code to the dot, in canonical order, and ``real`` is the part of
-    ``by_code`` over ``real_dot_roots(p)``, in its order.  The dots are the
-    table's own objects."""
-
-    code: Mapping[RootVector, int]
-    by_code: Mapping[int, RootVector]
-    real: Mapping[int, RootVector]
-
-
-# One params at a time, like the generator slice: the closure loops walk the
-# params one by one.
-@lru_cache(maxsize=1)
-def dot_codes(p: AlgebraParams) -> DotCodes:
-    """The code map of ``p``'s dots, built once per params in O(n).  Sums
-    and negatives of dots are found by adding and negating codes and
-    looking the result up, with no ``RootVector`` arithmetic."""
-    dots = sorted(root_table(p), key=RootVector.key)
-    codes = linear_codes([d.eps + d.dels for d in dots])
-    code = dict(zip(dots, codes))
-    real = {code[d]: d for d in real_dot_roots(p)}
-    return DotCodes(MappingProxyType(code), MappingProxyType(dict(zip(codes, dots))),
-                    MappingProxyType(real))
+def dot_codes(p: AlgebraParams) -> _Index:
+    """The root index of ``p``, read for its code maps ``code``, ``by_code``
+    and ``real``.  Sums and negatives of dots are found by adding and
+    negating codes and looking the result up, with no ``RootVector``
+    arithmetic."""
+    return _index(p)
 
 
 def pair_sums(members: Mapping[int, T], targets: Mapping[int, U]) -> Iterator[tuple[T, T, U]]:
@@ -240,10 +307,6 @@ def sign_pairs(by_code: Mapping[int, T]) -> Iterator[tuple[T, T]]:
         seen.add(c)
         if -c in seen:
             yield x, by_code[-c]
-
-
-def component_empty(p: AlgebraParams, i: int) -> bool:
-    return not even_table(p, i)
 
 
 # --- membership and classification -------------------------------------------
@@ -288,7 +351,8 @@ def even_s_set(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
 
 def odd_member_progression(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     """Delta coefficients whose roots over this dot are odd (outside the even part)."""
-    return s_set(p, dot).difference(even_s_set(p, dot))
+    s_set(p, dot)  # refuses what is no nonzero dot
+    return _index(p).odd[dot]
 
 
 def _root_class(dot: RootVector) -> RootClass:
@@ -326,7 +390,6 @@ _ODD_INFO = {c: RootInfo(c, Parity.ODD, Component.ODD_PART)
              for c in (RootClass.REAL, RootClass.NONSINGULAR)}
 _EVEN_INFO = {i: RootInfo(RootClass.REAL, Parity.EVEN, comp)
               for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2))}
-_NO_COEFFICIENTS = ProgressionSet.empty()
 
 
 class _DotRecord(NamedTuple):
@@ -401,72 +464,24 @@ def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     return _read(rec, v)
 
 
-def classify_window(
-    p: AlgebraParams, mmax: int
-) -> list[tuple[RootVector, RootInfo | None]]:
+def classify_window(p: AlgebraParams, mmax: int) -> list[tuple[RootVector, RootInfo | None]]:
     """The roots of ``enumerate_window(p, mmax)``, in its order, each with what
     ``classify`` returns for it (None for the zero root), read off the same
-    dot record."""
-    if mmax < 0:
-        raise ValueError("mmax must be >= 0")
-    out = []
-    for dot, prog in root_table(p).items():
-        rec = _dot_record(p, dot.eps, dot.dels)
-        for m in prog.window(mmax):
-            v = dot.with_dc(m)
-            out.append((v, None if v.is_zero else _read(rec, v)))
-    out.sort(key=lambda entry: entry[0].key())
-    return out
+    dot record.  Every dot's record is filled, in the window or not."""
+    window = enumerate_window(p, mmax)
+    for d in root_table(p):
+        _dot_record(p, d.eps, d.dels)
+    recs = _dot_records(p)
+    return [(v, None if v.is_zero else _read(recs[v.eps, v.dels], v)) for v in window]
 
 
 def enumerate_window(p: AlgebraParams, mmax: int) -> list[RootVector]:
-    """Exactly the roots with |dc| <= mmax, deduplicated, sorted by (dc, eps, del)."""
+    """Exactly the roots with |dc| <= mmax, sorted by (dc, eps, del): the root
+    table is in canonical order, so one sweep per dc needs no sort."""
     if mmax < 0:
         raise ValueError("mmax must be >= 0")
-    out = []
-    for dot, prog in root_table(p).items():
-        for m in prog.window(mmax):
-            out.append(dot.with_dc(m))
-    return sorted(out, key=RootVector.key)
-
-
-# --- progression invariants ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DotProgressionData:
-    """Minimal modulus and residue of one dot's coefficient set, plus its residue
-    classes re-expressed modulo the global modulus."""
-
-    minimal_modulus: int
-    residue: int
-    residues_mod_global: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ProgressionInvariants:
-    global_modulus: int
-    per_dot: Mapping[RootVector, DotProgressionData]
-
-
-@lru_cache(maxsize=None)
-def r_invariants(p: AlgebraParams) -> ProgressionInvariants:
-    """Every nonzero dot's coefficient set is a single progression with modulus in
-    {1, 2, 4}; the global modulus is the max, and each set is re-expressed mod it."""
-    singles: dict[RootVector, tuple[int, int]] = {}
-    for dot, prog in root_table(p).items():
-        if dot.is_zero:
-            continue
-        r_dot, k_dot = prog.as_single()
-        if r_dot not in (1, 2, 4):
-            raise ClassificationBugError(f"modulus of {dot} outside {{1,2,4}}: {r_dot}")
-        singles[dot] = (r_dot, k_dot)
-    global_r = max((r for r, _ in singles.values()), default=1)
-    per_dot = {
-        dot: DotProgressionData(r, k, root_table(p)[dot].residues_mod(global_r))
-        for dot, (r, k) in singles.items()
-    }
-    return ProgressionInvariants(global_r, MappingProxyType(per_dot))
+    table = root_table(p).items()
+    return [dot.with_dc(m) for m in range(-mmax, mmax + 1) for dot, prog in table if m in prog]
 
 
 # --- exhaustive structural checks ----------------------------------------------
@@ -481,8 +496,7 @@ def check_ns_sum(p: AlgebraParams, mmax: int) -> Verdict:
     v = Verdict()
     table = root_table(p)
     codes = dot_codes(p)
-    ns = {codes.code[d]: d for d in ns_dot_roots(p)}
-    for a, b, c in pair_sums(ns, codes.by_code):
+    for a, b, c in pair_sums(codes.ns, codes.by_code):
         wit = table[a].sum_witness(table[b], table[c])
         if wit is None:
             continue
@@ -490,8 +504,6 @@ def check_ns_sum(p: AlgebraParams, mmax: int) -> Verdict:
         v.record(c.is_zero or shape_of(c) is not Shape.MIXED,
                  "ns+ns stays real/imaginary",
                  lambda: f"{a.with_dc(m)} + {b.with_dc(n)} = {c.with_dc(m + n)}")
-    if v.checks == 0:
-        v.record(True, "ns+ns stays real/imaginary (vacuous)")
     return v
 
 
@@ -508,7 +520,7 @@ def _component_sums(p: AlgebraParams, i: int):
     Every dot yielded is the table's own object."""
     code = dot_codes(p).code
     nonzero = {code[d]: (d, _squared_length(d))
-               for d in sorted(even_table(p, i), key=RootVector.key) if not d.is_zero}
+               for d in even_table(p, i) if not d.is_zero}
     return pair_sums(nonzero, nonzero)
 
 
@@ -521,8 +533,6 @@ def check_sum_property(p: AlgebraParams, i: int) -> Verdict:
         if la == lb <= lc:
             ok = table[c].issubset(table[a].add(table[b]))
             v.record(ok, f"sum-set inclusion in component {i}", lambda: f"{a} + {b} = {c}")
-    if v.checks == 0:
-        v.record(True, f"sum-set inclusion in component {i} (vacuous)")
     return v
 
 
@@ -539,8 +549,6 @@ def check_length_trichotomy(p: AlgebraParams, i: int) -> Verdict:
             f"length trichotomy in component {i}",
             lambda: f"{a}, {b}, sum {c}: squared lengths ({la}, {lb}, {lc})",
         )
-    if v.checks == 0:
-        v.record(True, f"length trichotomy in component {i} (vacuous)")
     return v
 
 
@@ -628,18 +636,10 @@ def check_double_odd(p: AlgebraParams, mmax: int) -> Verdict:
         m = (twice if bad.is_empty else bad).residues[0] // 2
         v.record(bad.is_empty, "doubled odd real root is real even",
                  lambda: f"2*{dot.with_dc(m)} = {doubled.with_dc(2 * m)}")
-    if v.checks == 0:
-        v.record(True, "doubled odd real root is real even (vacuous)")
     return v
 
 
-@lru_cache(maxsize=None)
 def doubling_pairs(p: AlgebraParams) -> tuple[tuple[RootVector, RootVector], ...]:
     """Pairs (dot, 2*dot) of real dots where the dot's class contains an odd root
     and the double is again a dot root; these drive the doubling rules."""
-    out = []
-    for dot in real_dot_roots(p):
-        doubled = dot.scale(2)
-        if doubled in dot_roots(p) and not odd_member_progression(p, dot).is_empty:
-            out.append((dot, doubled))
-    return tuple(out)
+    return _index(p).doubling

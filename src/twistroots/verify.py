@@ -94,7 +94,7 @@ def suite_tables(p: AlgebraParams) -> RunReport:
     t0 = time.time()
     v = Verdict()
     table = root_table(p)
-    for dot in sorted(table, key=RootVector.key):
+    for dot in table:
         if dot.is_zero:
             v.record(table[dot] == resolve_progression("Z", p),
                      "imaginary line is all of Z*delta", lambda: str(dot))
@@ -127,7 +127,7 @@ def suite_tables(p: AlgebraParams) -> RunReport:
         v.record(set(etab) == expected,
                  f"component {i} delta-free set matches its printed form",
                  f"{len(etab)} vs {len(expected)}")
-        for dot in sorted(etab, key=RootVector.key):
+        for dot in etab:
             if dot.is_zero:
                 continue
             token = S_EVEN_CLOSED[(shape_of(dot), i)][p.family]
@@ -150,7 +150,7 @@ def suite_classification(p: AlgebraParams) -> RunReport:
     r = r_invariants(p).global_modulus
     shifted = set(shifted_full(p))
     residues = []
-    for dot in sorted(table, key=RootVector.key):
+    for dot in table:
         if dot.is_zero:
             continue
         for res in range(r):

@@ -269,11 +269,11 @@ EXPECTED = {
     "shadow-derive-p-broken-closure-d2":
         "51b892d63e1e74a789cf92b59d106b2b9dbe65a1207de20d0a89a23400f4ecad",
     "phi-pi-ae":
-        "060586d87c82ca91145417e7dfd6c67180c85b7ca6ff5af102ad5a93363fbd6a",
+        "1bb6b9f56436d1d532577e128fb2efe26b9f8140bf398989e266a9d810123f12",
     "phi-pi-a4":
-        "927dac243d17e0d7b6a1446886cbad40fa3d8941281e6f07161e9f907dbb8d7e",
+        "2c55c56ad84a3c3ab1cb902cef36e2dcd582619269f565e9a5e647ea27a57147",
     "phi-pi-d0":
-        "abc2c1f365d11eb8b5ecf696a95e3ae6ba87d10d4f0ac29e0ed5928f9d5e109e",
+        "8cc94fe4b1e15384105d276a06852605c3eaa44c107808b4298fe7ed3073ae96",
     "decompose-ae":
         "e0eaab9f3ac61e31744292981978093df2c1b4809cdb6b56ae482665da3ec8df",
     "decompose-generator":
@@ -281,15 +281,15 @@ EXPECTED = {
     "decompose-not-positive":
         "809223612e1e17031c64fe4d48d98f0a134ebcff4474c5687cd06315f897c290",
     "verify-ae":
-        "df2183e5612fe91eb3b488b39fc2ef9c9d4e189ef5adc272a046b6e949d5e71e",
+        "41e9ffc39c68857bbb353e176b219497971be3848f6859c37614d9aee5167a01",
     "verify-a4":
         "c445d1f324ea1e0c77cdf8bc23f764013650082e7fa11ff8bbc9685e4abfbed1",
     "verify-ao":
-        "83718733b0de6416a71fbd44e2a8ed01690692bfa10d5dece2fad5a9e8b14175",
+        "21d056d14a1844b679119bcec0872dc0ae1f2048ca3dc0a295b20940b39f7406",
     "verify-d0":
-        "d058d4a7da5787dd6adae1cecb8aba7f9c0b19a38646517190172d461b83ba1d",
+        "e5cd7285dc248c44590d9f77ce2540802aa9ae5fe5886b1103bfa19a6abd9045",
     "verify-d2":
-        "6f8aede963d05c530065ec137c493b0245e819cf3a0008d782cc525e8c4c9444",
+        "3c1be3a8d23c59e12b56580421f37d725d21354c586abb36be0937e2a54f1061",
 }
 
 

@@ -64,7 +64,7 @@ def test_ns_sum_matches_window_oracle():
         for mmax in (0, 8):
             v = rs.check_ns_sum(p, mmax)
             assert v.ok == ok, p
-            assert v.checks == max(len(unordered), 1), p
+            assert v.checks == len(unordered), p
 
 
 def test_sum_property_worked_example():
@@ -82,7 +82,7 @@ def test_sum_property_vacuous_on_rank_one_component():
     # Component 1 of the rank-(1,1) D-family slice has a single +-pair: no triples.
     p = P(AffineFamily.D_2, 1, 1)
     v = rs.check_sum_property(p, 1)
-    assert v.ok and v.checks == 1
+    assert v.ok and v.checks == 0
 
 
 def test_length_trichotomy_patterns():
