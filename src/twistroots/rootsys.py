@@ -1,10 +1,12 @@
 """Root systems of the four twisted affine families.
 
 Membership, classification, window enumeration, delta-coefficient sets and the
-exhaustive structural checks all run off the clause tables in ``tables``.  A
-root is always an exact integer vector; a "window" truncates the infinite
-system to |dc| <= mmax for enumeration.  The structural checks are exact
-residue computations on delta-classes (every coefficient set is a progression).
+exhaustive structural checks all run off the clause tables in ``tables``,
+read through one per-params root index that decides each dot's class,
+parity rows and component progressions in the pass that builds it.  A root
+is always an exact integer vector; a "window" truncates the infinite system
+to |dc| <= mmax for enumeration.  The structural checks are exact residue
+computations on delta-classes (every coefficient set is a progression).
 
 Non-imaginary root spaces are one-dimensional throughout, so no multiplicity
 data is ever attached to them; imaginary roots carry no parity.
@@ -139,13 +141,83 @@ class ProgressionInvariants:
     per_dot: Mapping[RootVector, DotProgressionData]
 
 
+def _root_class(dot: RootVector) -> RootClass:
+    """The class of every root over ``dot``, by the clause-shape route checked
+    against the bilinear-form route; a disagreement is an internal bug and
+    raises.  The form ignores delta, so the class depends on the dot alone."""
+    zero = dot.is_zero
+    # Route 1: which clause shape matched.
+    if zero:
+        syntactic = RootClass.IMAGINARY
+    elif shape_of(dot) is Shape.MIXED:
+        syntactic = RootClass.NONSINGULAR
+    else:
+        syntactic = RootClass.REAL
+
+    # Route 2: the form.  The radical of the span meets the root lattice in Z*delta.
+    if norm(dot) != 0:
+        metric = RootClass.REAL
+    elif zero:
+        metric = RootClass.IMAGINARY
+    else:
+        metric = RootClass.NONSINGULAR
+
+    if syntactic is not metric:
+        raise ClassificationBugError(
+            f"classification disagreement on {dot} + Z*delta: clause says "
+            f"{syntactic}, form says {metric}"
+        )
+    return metric
+
+
+# The few classification records there are; every dot record shares them.
+_IMAGINARY_INFO = RootInfo(RootClass.IMAGINARY, None, Component.IMAGINARY_ONLY)
+_ODD_INFO = {c: RootInfo(c, Parity.ODD, Component.ODD_PART)
+             for c in (RootClass.REAL, RootClass.NONSINGULAR)}
+_EVEN_INFO = {i: RootInfo(RootClass.REAL, Parity.EVEN, comp)
+              for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2))}
+
+_NO_COEFFICIENTS = ProgressionSet.empty()
+
+
+class _DotRecord(NamedTuple):
+    """What classification knows of one dot.  ``s`` is its coefficient set,
+    ``even`` the union of its even progressions, ``odd_s`` the coefficients
+    outside them, and ``odd`` the record of the roots there.  ``evens`` holds
+    one (progression, record) pair per even component that holds the dot;
+    the record is None for a nonsingular dot, none of whose roots may be
+    even.  The zero dot has no pairs, since its roots are imaginary in
+    either component, but its ``even`` holds both imaginary rows."""
+
+    s: ProgressionSet
+    even: ProgressionSet
+    odd_s: ProgressionSet
+    evens: tuple[tuple[ProgressionSet, RootInfo | None], ...]
+    odd: RootInfo
+
+
+def _build_record(s: ProgressionSet, progs: tuple[ProgressionSet | None, ...],
+                  root_class: RootClass) -> _DotRecord:
+    """The record of a dot of class ``root_class`` with coefficient set ``s``
+    and progression ``progs[i - 1]`` in even component i (None if absent)."""
+    imaginary = root_class is RootClass.IMAGINARY
+    evens, even = [], _NO_COEFFICIENTS
+    for i, prog in zip((1, 2), progs):
+        if prog is not None:
+            even = prog if even.is_empty else even.union(prog)
+            if not imaginary:
+                evens.append((prog, _EVEN_INFO[i] if root_class is RootClass.REAL else None))
+    return _DotRecord(s, even, s.difference(even), tuple(evens),
+                      _IMAGINARY_INFO if imaginary else _ODD_INFO[root_class])
+
+
 class _Index(NamedTuple):
     """What ``rootsys`` knows of one params' dots, in canonical order; every
     dot outside ``evens`` (the component tables) is ``table``'s own object.
     ``code`` maps each dot to its ``linear_codes`` code over the eps and del
     coordinates, ``by_code`` each code to the dot, and ``real`` and ``ns``
     are the parts of ``by_code`` over the real and the nonsingular dots.
-    ``odd`` maps each nonzero dot to its coefficients outside the even part."""
+    ``records`` maps each dot's (eps, dels) to its classification record."""
 
     table: Mapping[RootVector, ProgressionSet]
     evens: tuple[Mapping[RootVector, ProgressionSet], ...]
@@ -156,11 +228,8 @@ class _Index(NamedTuple):
     real: Mapping[int, RootVector]
     ns: Mapping[int, RootVector]
     invariants: ProgressionInvariants
-    odd: Mapping[RootVector, ProgressionSet]
+    records: Mapping[tuple[tuple[int, ...], tuple[int, ...]], _DotRecord]
     doubling: tuple[tuple[RootVector, RootVector], ...]
-
-
-_NO_COEFFICIENTS = ProgressionSet.empty()
 
 
 def _canonical(mapping):
@@ -172,42 +241,43 @@ def _canonical(mapping):
 def _index(p: AlgebraParams) -> _Index:
     """The root index of ``p``, cached once per params: ``build_mapping`` runs
     once per clause set, the dots are sorted once, and one pass over them
-    decides each dot's shape, code, progression invariants and odd part."""
+    decides each dot's class (once, by ``_root_class``), code, progression
+    invariants and classification record.  The dots of one clause row share
+    its progression, so the invariants are built once per progression and
+    the records once per (coefficient set, component progressions, class)."""
     table = _canonical(build_mapping(p, ROOT_CLAUSES[p.family]))
     evens = [_canonical({} if i == 2 and p.k == 0 else build_mapping(p, EVEN_CLAUSES[p.family][i]))
              for i in (1, 2)]
     codes = linear_codes([d.eps + d.dels for d in table])
     global_r = max(s.modulus for s in table.values())  # the zero dot's Z has modulus 1
-    real, ns, odd, per_dot, data = {}, {}, {}, {}, {}
-    for c, (dot, rest) in zip(codes, table.items()):
-        if dot.is_zero:
+    real, ns, per_dot, data, records, interned = {}, {}, {}, {}, {}, {}
+    for c, (dot, s) in zip(codes, table.items()):
+        root_class = _root_class(dot)
+        progs = tuple(even.get(dot) for even in evens)
+        key = (s, progs, root_class)
+        rec = interned.get(key)
+        if rec is None:
+            rec = interned[key] = _build_record(s, progs, root_class)
+        records[dot.eps, dot.dels] = rec
+        if root_class is RootClass.IMAGINARY:
             continue
-        shape = shape_of(dot)
-        if shape in REAL_SHAPES:
-            real[c] = dot
-        elif shape is Shape.MIXED:
-            ns[c] = dot
-        if rest not in data:  # the dots of one clause row share its progression
-            r_dot, k_dot = rest.as_single()
+        (real if root_class is RootClass.REAL else ns)[c] = dot
+        if s not in data:
+            r_dot, k_dot = s.as_single()
             if r_dot not in (1, 2, 4):
                 raise ClassificationBugError(f"modulus of {dot} outside {{1,2,4}}: {r_dot}")
-            data[rest] = DotProgressionData(r_dot, k_dot, rest.residues_mod(global_r))
-        per_dot[dot] = data[rest]
-        for even in evens:
-            prog = even.get(dot)
-            if prog is not None:  # most even progressions are the whole set
-                rest = _NO_COEFFICIENTS if prog == rest else rest.difference(prog)
-        odd[dot] = rest
+            data[s] = DotProgressionData(r_dot, k_dot, s.residues_mod(global_r))
+        per_dot[dot] = data[s]
     by_code = dict(zip(codes, table))
     # the codes are linear, so 2 * code(dot) is the code of 2 * dot when that is a dot
     doubling = tuple((dot, by_code[2 * c]) for c, dot in real.items()
-                     if 2 * c in by_code and not odd[dot].is_empty)
+                     if 2 * c in by_code and not records[dot.eps, dot.dels].odd_s.is_empty)
     # frozenset() of a dict reuses its stored hashes, and of a mapping proxy does not
     return _Index(MappingProxyType(table), tuple(map(MappingProxyType, evens)), frozenset(table),
                   tuple(map(frozenset, evens)), MappingProxyType(dict(zip(table, codes))),
                   MappingProxyType(by_code), MappingProxyType(real), MappingProxyType(ns),
                   ProgressionInvariants(global_r, MappingProxyType(per_dot)),
-                  MappingProxyType(odd), doubling)
+                  MappingProxyType(records), doubling)
 
 
 def _component(i: int) -> int:
@@ -345,101 +415,14 @@ def s_set_0(p: AlgebraParams, i: int, dot: RootVector) -> ProgressionSet:
 
 def even_s_set(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     """Delta coefficients landing dot anywhere in the even part (both components)."""
-    rec = None if dot.dc else _dot_record(p, dot.eps, dot.dels)
+    rec = None if dot.dc else _index(p).records.get((dot.eps, dot.dels))
     return _NO_COEFFICIENTS if rec is None else rec.even
 
 
 def odd_member_progression(p: AlgebraParams, dot: RootVector) -> ProgressionSet:
     """Delta coefficients whose roots over this dot are odd (outside the even part)."""
     s_set(p, dot)  # refuses what is no nonzero dot
-    return _index(p).odd[dot]
-
-
-def _root_class(dot: RootVector) -> RootClass:
-    """The class of every root over ``dot``, by the clause-shape route checked
-    against the bilinear-form route; a disagreement is an internal bug and
-    raises.  The form ignores delta, so the class depends on the dot alone."""
-    zero = dot.is_zero
-    # Route 1: which clause shape matched.
-    if zero:
-        syntactic = RootClass.IMAGINARY
-    elif shape_of(dot) is Shape.MIXED:
-        syntactic = RootClass.NONSINGULAR
-    else:
-        syntactic = RootClass.REAL
-
-    # Route 2: the form.  The radical of the span meets the root lattice in Z*delta.
-    if norm(dot) != 0:
-        metric = RootClass.REAL
-    elif zero:
-        metric = RootClass.IMAGINARY
-    else:
-        metric = RootClass.NONSINGULAR
-
-    if syntactic is not metric:
-        raise ClassificationBugError(
-            f"classification disagreement on {dot} + Z*delta: clause says "
-            f"{syntactic}, form says {metric}"
-        )
-    return metric
-
-
-# The few classification records there are; every dot record shares them.
-_IMAGINARY_INFO = RootInfo(RootClass.IMAGINARY, None, Component.IMAGINARY_ONLY)
-_ODD_INFO = {c: RootInfo(c, Parity.ODD, Component.ODD_PART)
-             for c in (RootClass.REAL, RootClass.NONSINGULAR)}
-_EVEN_INFO = {i: RootInfo(RootClass.REAL, Parity.EVEN, comp)
-              for i, comp in ((1, Component.IN_R0_1), (2, Component.IN_R0_2))}
-
-
-class _DotRecord(NamedTuple):
-    """What classification knows of one dot.  ``s`` is its coefficient set
-    and ``odd`` the record of its roots outside the even part.  ``evens``
-    holds one (progression, record) pair per even component that holds the
-    dot; the record is None for a nonsingular dot, none of whose roots may
-    be even.  ``even`` is the union of the dot's even progressions.  The
-    zero dot has no pairs, since its roots are imaginary in either
-    component, but its ``even`` holds both imaginary rows."""
-
-    s: ProgressionSet
-    odd: RootInfo
-    evens: tuple[tuple[ProgressionSet, RootInfo | None], ...]
-    even: ProgressionSet
-
-
-@lru_cache(maxsize=None)
-def _dot_records(p: AlgebraParams) -> dict[tuple[tuple[int, ...], tuple[int, ...]], _DotRecord]:
-    """(eps, dels) -> record, filled by ``_dot_record`` one dot at a time."""
-    return {}
-
-
-def _dot_record(p: AlgebraParams, eps: tuple[int, ...], dels: tuple[int, ...]
-                ) -> _DotRecord | None:
-    """The record of the dot (eps, dels), None if it is no dot of ``p``.  The
-    class is decided once per dot: delta is isotropic, so class, parity and
-    component depend only on the dot and on which even progression holds
-    the delta-coefficient."""
-    memo = _dot_records(p)
-    rec = memo.get((eps, dels))
-    if rec is not None:
-        return rec
-    dot = RootVector(eps, dels, 0)
-    s = root_table(p).get(dot)
-    if s is None:
-        return None
-    root_class = _root_class(dot)
-    imaginary = root_class is RootClass.IMAGINARY
-    evens, even = [], _NO_COEFFICIENTS
-    for i in (1, 2):
-        prog = even_table(p, i).get(dot)
-        if prog is not None:
-            even = prog if even.is_empty else even.union(prog)
-            if not imaginary:
-                evens.append((prog, _EVEN_INFO[i] if root_class is RootClass.REAL else None))
-    rec = _DotRecord(s, _IMAGINARY_INFO if imaginary else _ODD_INFO[root_class],
-                     tuple(evens), even)
-    memo[eps, dels] = rec
-    return rec
+    return _index(p).records[dot.eps, dot.dels].odd_s
 
 
 def _read(rec: _DotRecord, v: RootVector) -> RootInfo:
@@ -456,7 +439,7 @@ def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
     """Classify a nonzero root, cross-checking the clause-shape route against the
     bilinear-form route; a disagreement is an internal bug and raises."""
     _check_ambient(p, v)
-    rec = _dot_record(p, v.eps, v.dels)
+    rec = _index(p).records.get((v.eps, v.dels))
     if rec is None or v.dc not in rec.s:
         raise NotARootError(f"{v} is not a root of {p.describe()}")
     if v.is_zero:
@@ -467,11 +450,9 @@ def classify(p: AlgebraParams, v: RootVector) -> RootInfo:
 def classify_window(p: AlgebraParams, mmax: int) -> list[tuple[RootVector, RootInfo | None]]:
     """The roots of ``enumerate_window(p, mmax)``, in its order, each with what
     ``classify`` returns for it (None for the zero root), read off the same
-    dot record.  Every dot's record is filled, in the window or not."""
+    dot record of the root index; no class is decided here."""
     window = enumerate_window(p, mmax)
-    for d in root_table(p):
-        _dot_record(p, d.eps, d.dels)
-    recs = _dot_records(p)
+    recs = _index(p).records
     return [(v, None if v.is_zero else _read(recs[v.eps, v.dels], v)) for v in window]
 
 

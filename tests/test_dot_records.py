@@ -10,7 +10,7 @@ from twistroots import verify
 from twistroots.families import AffineFamily, AlgebraParams, valid_params
 from twistroots.lattice import RootVector, norm
 from twistroots.progressions import ProgressionSet
-from twistroots.tables import Shape, shape_of
+from twistroots.tables import EVEN_CLAUSES, Shape, shape_of
 
 MMAX = 8
 
@@ -82,7 +82,6 @@ def candidates(p):
 
 def test_records_agree_with_the_uncached_references():
     for p in valid_params(3, 3):
-        rs._dot_records.cache_clear()
         window = rs.classify_window(p, MMAX)
         assert [v for v, _ in window] == rs.enumerate_window(p, MMAX), p
         for v, info in window:
@@ -95,8 +94,7 @@ def test_records_agree_with_the_uncached_references():
 def test_every_record_shares_the_module_infos():
     shared = [rs._IMAGINARY_INFO, *rs._ODD_INFO.values(), *rs._EVEN_INFO.values()]
     for p in valid_params(3, 3):
-        rs.classify_window(p, 0)
-        records = rs._dot_records(p)
+        records = rs._index(p).records
         assert len(records) == len(rs.root_table(p)), p
         for rec in records.values():
             infos = [rec.odd, *(info for _, info in rec.evens if info is not None)]
@@ -108,12 +106,12 @@ def test_run_all_decides_each_class_once_per_dot(monkeypatch):
     calls = []
     root_class = rs._root_class
 
-    def spy(dot):
+    def spy(dot, *args, **kwargs):
         calls.append(dot)
-        return root_class(dot)
+        return root_class(dot, *args, **kwargs)
 
     monkeypatch.setattr(rs, "_root_class", spy)
-    rs._dot_records.cache_clear()
+    rs._index.cache_clear()
     assert all(rep.ok for rep in verify.run_all(p))
     assert sorted(calls, key=RootVector.key) == sorted(rs.root_table(p), key=RootVector.key)
 
@@ -121,13 +119,15 @@ def test_run_all_decides_each_class_once_per_dot(monkeypatch):
 def test_a_nonsingular_root_in_the_even_part_raises(monkeypatch):
     p = AlgebraParams(AffineFamily.A_EVEN_2, 1, 1)
     eta = rs.ns_dot_roots(p)[0]
-    even_table = rs.even_table
+    s_eta = rs.root_table(p)[eta]
+    build_mapping, clauses = rs.build_mapping, EVEN_CLAUSES[p.family][1]
 
-    def planted(q, i):  # component 1 wrongly holds eta at every coefficient
-        return {**even_table(q, i), eta: rs.root_table(q)[eta]} if i == 1 else even_table(q, i)
+    def planted(q, rows):  # component 1 wrongly holds eta at every coefficient
+        table = build_mapping(q, rows)
+        return {**table, eta: s_eta} if (q, rows) == (p, clauses) else table
 
-    monkeypatch.setattr(rs, "even_table", planted)
-    rs._dot_records.cache_clear()
+    monkeypatch.setattr(rs, "build_mapping", planted)
+    rs._index.cache_clear()
     try:
         message = re.escape(f"nonsingular root {eta.with_dc(-1)} matched the even part")
         with pytest.raises(rs.ClassificationBugError, match=message):
@@ -135,4 +135,4 @@ def test_a_nonsingular_root_in_the_even_part_raises(monkeypatch):
         with pytest.raises(rs.ClassificationBugError, match="matched the even part"):
             rs.classify_window(p, 1)
     finally:
-        rs._dot_records.cache_clear()
+        rs._index.cache_clear()

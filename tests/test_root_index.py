@@ -1,6 +1,7 @@
-"""The per-params root index behind every ``rootsys`` table, code map and
-invariant, against uncached references built straight from the clause rows,
-and the fixed list of the package's per-params caches."""
+"""The per-params root index behind every ``rootsys`` table, code map,
+invariant and classification record, against uncached references built
+straight from the clause rows; the one pass that decides every class; and
+the fixed list of the package's per-params caches."""
 
 import importlib
 import pkgutil
@@ -87,7 +88,6 @@ def test_build_mapping_runs_once_per_clause_set(monkeypatch):
 
     monkeypatch.setattr(rs, "build_mapping", counted)
     rs._index.cache_clear()
-    rs._dot_records.cache_clear()
     small = [AlgebraParams(AffineFamily.A_EVEN_2, 1, 1), AlgebraParams(AffineFamily.D_2, 0, 1)]
     for p in small:
         assert all(rep.ok for rep in verify.run_all(p)), p
@@ -101,5 +101,30 @@ def test_the_per_params_caches_are_these():
         module = importlib.import_module(f"twistroots.{info.name}")
         cached |= {f"{info.name}.{name}" for name, obj in vars(module).items()
                    if hasattr(obj, "cache_info") and obj.__module__ == module.__name__}
-    assert cached == {"rootsys._index", "rootsys._dot_records", "parabolic._shifted",
+    assert cached == {"rootsys._index", "parabolic._shifted",
                       "sampling._closure_break_targets", "cli._parser"}
+
+
+def test_one_index_pass_decides_every_class(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls[name, args[0]] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(rs, "shape_of", counted("shape_of", shape_of))
+    monkeypatch.setattr(rs, "_root_class", counted("_root_class", rs._root_class))
+    rs._index.cache_clear()  # the spies forward every call, so the rebuilt index is the same
+    for p in valid_params(2, 2):
+        calls.clear()
+        table = rs.root_table(p)
+        assert calls == Counter({**{("shape_of", d): 1 for d in table if not d.is_zero},
+                                 **{("_root_class", d): 1 for d in table}}), p
+        calls.clear()
+        for v, info in rs.classify_window(p, 8):
+            if not v.is_zero:
+                assert rs.classify(p, v) is info, (p, v)
+            rs.even_s_set(p, v)
+        assert not calls, p

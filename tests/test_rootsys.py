@@ -314,18 +314,19 @@ def test_classify_window_decides_the_class_once_per_dot(monkeypatch):
     calls = []
     root_class = rs._root_class
 
-    def spy(dot):
+    def spy(dot, *args, **kwargs):
         calls.append(dot)
-        return root_class(dot)
+        return root_class(dot, *args, **kwargs)
 
     monkeypatch.setattr(rs, "_root_class", spy)
-    rs._dot_records.cache_clear()
+    rs._index.cache_clear()
     entries = rs.classify_window(p, 8)
-    for v, info in entries:  # classify reads the records classify_window made
+    for v, info in entries:  # classify reads the same records as classify_window
         if not v.is_zero:
             assert rs.classify(p, v) is info
     dots = {v.dot_part() for v, _ in entries}
-    assert sorted(calls) == sorted(dots) and len(entries) > len(dots)
+    assert sorted(calls) == sorted(dots) == sorted(rs.root_table(p))
+    assert len(entries) > len(dots)
 
 
 def test_classify_window_rejects_negative_mmax():
@@ -341,9 +342,9 @@ def test_classify_window_raises_on_route_disagreement(monkeypatch):
         return Shape.MIXED
 
     # rootsys binds tables.shape_of under its own name; patch that binding,
-    # then drop the dot records decided before it.
+    # then drop the root index, whose pass decided the classes before it.
     monkeypatch.setattr(rs, "shape_of", wrong_shape)
-    rs._dot_records.cache_clear()
+    rs._index.cache_clear()
     try:
         with pytest.raises(rs.ClassificationBugError):
             rs.classify_window(p, 2)
@@ -352,4 +353,4 @@ def test_classify_window_raises_on_route_disagreement(monkeypatch):
         with pytest.raises(rs.ClassificationBugError):
             rs.even_s_set(p, eps_unit(1, 1, 1))
     finally:
-        rs._dot_records.cache_clear()
+        rs._index.cache_clear()
